@@ -1,0 +1,144 @@
+//! Explore identity: the Hoare Graphs of multi-variant, budget-bound
+//! lifts are pinned across commits.
+//!
+//! Algorithm 1's compatible-vertex lookup decides which variant a new
+//! state joins, so a lookup change that picks a different variant
+//! changes the graph of every unit that keeps several code-pointer
+//! variants at one address — exactly the units a small fixture never
+//! exercises. This test lifts such units and compares the SHA-256 of
+//! each `export_json` document against the checked-in digests in
+//! `tests/golden/explore_identity.sha256`:
+//!
+//! - every unit of the miniature Table-1 study for two seeds, binary
+//!   units through `lift_all` at one and two workers, library units
+//!   through `lift_entry`;
+//! - one explosive unit (a chain of code-pointer diamonds) with the §4
+//!   code-pointer refinement on and off.
+//!
+//! The wall-clock budget is off and the state budget is lowered, so
+//! every lift stops at the same state count on any machine. To
+//! intentionally change the lifter's output, regenerate the digests
+//! with
+//!
+//! ```sh
+//! UPDATE_GOLDEN=1 cargo test --test explore_identity
+//! ```
+//!
+//! and commit the refreshed file together with the lifter change.
+
+use hoare_lift::core::{LiftConfig, Lifter};
+use hoare_lift::corpus::xen::build_study;
+use hoare_lift::corpus::{ProgramGen, StudySpec, UnitKind};
+use hoare_lift::export::export_json;
+use hoare_lift::store::sha256::{hex, sha256};
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::PathBuf;
+
+/// Study seeds whose units are pinned.
+const SEEDS: [u64; 2] = [1, 2];
+
+/// Diamonds in the explosive unit: 2^16 code-pointer combinations, far
+/// beyond the state budget, so the lift is budget-bound.
+const EXPLOSIVE_DEPTH: usize = 16;
+
+fn digest_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/explore_identity.sha256")
+}
+
+/// Deterministic configuration: no wall clock, a small state budget.
+fn config() -> LiftConfig {
+    let mut c = LiftConfig::default();
+    c.budget.wall_clock = None;
+    c.limits.max_states = 1200;
+    c
+}
+
+fn digest(doc: &str) -> String {
+    hex(&sha256(doc.as_bytes()))
+}
+
+/// `name -> digest of export_json` for every pinned lift.
+fn current_digests() -> BTreeMap<String, String> {
+    let mut out = BTreeMap::new();
+    for seed in SEEDS {
+        for unit in build_study(&StudySpec::mini(), seed).units {
+            let lifter = || Lifter::new(&unit.binary).with_config(config());
+            match unit.kind {
+                UnitKind::Binary => {
+                    for workers in [1, 2] {
+                        let report = lifter().workers(workers).lift_all();
+                        out.insert(
+                            format!("study{seed}/{}/lift_all/w{workers}", unit.name),
+                            digest(&export_json(&report.result)),
+                        );
+                    }
+                }
+                UnitKind::LibraryFunction => {
+                    let result = lifter().lift_entry(unit.entry);
+                    out.insert(
+                        format!("study{seed}/{}/lift_entry", unit.name),
+                        digest(&export_json(&result)),
+                    );
+                }
+            }
+        }
+    }
+
+    let mut pg = ProgramGen::new();
+    pg.gen_explosive_function("main", EXPLOSIVE_DEPTH);
+    pg.asm.entry("main");
+    let bin = pg.asm.assemble().expect("explosive unit assembles");
+    for refine in [true, false] {
+        let lifter = || {
+            let mut c = config();
+            c.limits.code_pointer_refinement = refine;
+            Lifter::new(&bin).with_config(c)
+        };
+        let tag = if refine { "refine_on" } else { "refine_off" };
+        let entry = lifter().lift_entry(bin.entry);
+        out.insert(format!("explosive{EXPLOSIVE_DEPTH}/{tag}/lift_entry"), digest(&export_json(&entry)));
+        let all = lifter().lift_all();
+        out.insert(format!("explosive{EXPLOSIVE_DEPTH}/{tag}/lift_all"), digest(&export_json(&all.result)));
+    }
+    out
+}
+
+fn render(digests: &BTreeMap<String, String>) -> String {
+    digests.iter().map(|(name, d)| format!("{d}  {name}\n")).collect()
+}
+
+fn parse(text: &str) -> BTreeMap<String, String> {
+    text.lines()
+        .filter_map(|l| l.split_once("  "))
+        .map(|(d, name)| (name.to_string(), d.to_string()))
+        .collect()
+}
+
+#[test]
+fn budget_bound_multi_variant_graphs_are_pinned() {
+    let actual = current_digests();
+    let path = digest_path();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
+        std::fs::write(&path, render(&actual)).expect("write digests");
+        return;
+    }
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing digest file {} ({e}); run UPDATE_GOLDEN=1 cargo test --test explore_identity",
+            path.display()
+        )
+    });
+    let expected = parse(&text);
+    let drifted: BTreeSet<&String> = expected
+        .keys()
+        .chain(actual.keys())
+        .filter(|name| expected.get(*name) != actual.get(*name))
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "lift output drifted from {} for {drifted:?}; \
+         if intentional, regenerate with UPDATE_GOLDEN=1",
+        path.display()
+    );
+}
