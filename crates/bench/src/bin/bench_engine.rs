@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! cargo run --release -p hgl-bench --bin bench-engine -- \
-//!     [--quick] [--out BENCH_pr5.json] [--check]
+//!     [--quick] [--out BENCH_pr7.json] [--check]
 //! ```
 //!
 //! `--quick` shrinks the corpus and repetition count for smoke runs;

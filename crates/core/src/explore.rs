@@ -3,7 +3,7 @@
 
 use crate::budget::{Budget, BudgetDim, BudgetExhausted, BudgetMeter};
 use crate::diag::{Annotation, Diagnostics};
-use crate::graph::{HoareGraph, VertexId};
+use crate::graph::{Edge, HoareGraph, VertexId};
 use crate::metrics::{Metrics, Phase};
 use crate::pred::SymState;
 use crate::tau::{step, StepConfig, StepCtx, Successor};
@@ -13,6 +13,7 @@ use hgl_expr::Expr;
 use hgl_solver::{Layout, QueryCache};
 use hgl_x86::{decode, Instr};
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// Everything one exploration step needs from its surroundings: the
@@ -77,6 +78,11 @@ fn lap(
     }
 }
 
+/// The immediate code pointer `e` holds, if any.
+fn code_imm(binary: &Binary, e: &Expr) -> Option<u64> {
+    e.as_imm().filter(|v| binary.is_code(*v))
+}
+
 /// An entry in the exploration bag.
 #[derive(Debug, Clone)]
 pub struct BagItem {
@@ -137,8 +143,10 @@ pub struct FnExploration {
     pub callee_deps: BTreeMap<u64, bool>,
     /// Join counts per vertex, to trigger widening.
     join_counts: BTreeMap<VertexId, u32>,
-    /// Next variant index per address.
-    variants: BTreeMap<u64, u32>,
+    /// Per address, the code-pointer signature of every variant:
+    /// entry `i` belongs to vertex `At(addr, i)`, and the length is the
+    /// next variant index. See [`FnExploration::signature`].
+    variants: BTreeMap<u64, Vec<u64>>,
     /// Steps executed (budget accounting).
     pub steps: usize,
 }
@@ -194,12 +202,14 @@ impl FnExploration {
     }
 
     /// Are two states compatible (Definition 4.3 plus the immediate
-    /// code-pointer refinement of §4)?
-    fn compatible(&self, binary: &Binary, a: &SymState, b: &SymState, refine: bool) -> bool {
+    /// code-pointer refinement of §4)? Exactly when they hold the same
+    /// set of (register or memory region, code address) pairs, so equal
+    /// [`signature`](Self::signature)s are necessary for compatibility.
+    fn compatible(binary: &Binary, a: &SymState, b: &SymState, refine: bool) -> bool {
         if !refine {
             return true;
         }
-        let code_imm = |e: &Expr| e.as_imm().filter(|v| binary.is_code(*v));
+        let code_imm = |e: &Expr| code_imm(binary, e);
         // A state part holding an immediate code pointer on either side
         // must hold the *same* code pointer on the other — joining
         // would otherwise lose a value that will likely decide future
@@ -225,6 +235,31 @@ impl FnExploration {
             }
         }
         true
+    }
+
+    /// A hash of the (register or memory region, code address) pairs of
+    /// `s` — exactly the parts [`compatible`](Self::compatible)
+    /// compares — in canonical order (`Reg::ALL`, then region order).
+    /// Compatible states have equal signatures, so the compatible-vertex
+    /// lookup compares one `u64` per variant and calls `compatible` only
+    /// on a match. Without the refinement every state is compatible and
+    /// the signature is 0.
+    fn signature(binary: &Binary, s: &SymState, refine: bool) -> u64 {
+        if !refine {
+            return 0;
+        }
+        let mut h = DefaultHasher::new();
+        for r in hgl_x86::Reg::ALL {
+            if let Some(v) = code_imm(binary, &s.pred.regs.get(r)) {
+                (r, v).hash(&mut h);
+            }
+        }
+        for (region, e) in s.pred.mem.iter() {
+            if let Some(v) = code_imm(binary, e) {
+                (region, v).hash(&mut h);
+            }
+        }
+        h.finish()
     }
 
     /// Run exploration until the bag empties, a budget dimension is
@@ -298,19 +333,30 @@ impl FnExploration {
         let ExploreCx { binary, layout, step: step_config, limits, meter, .. } = *cx;
         let BagItem { addr, state, from } = item;
 
-        // Lines 3–9: find a compatible vertex, join or create.
-        let mut target_vid = None;
-        for vid in self.graph.vertices_at(addr) {
-            let existing = &self.graph.vertices[&vid];
-            if self.compatible(binary, &state, &existing.state, limits.code_pointer_refinement) {
-                target_vid = Some(vid);
-                break;
-            }
-        }
-        let (vid, to_explore) = match target_vid {
-            Some(vid) => {
-                if let Some((src, instr)) = &from {
-                    self.graph.add_edge(*src, vid, instr.clone());
+        // Lines 3–9: find a compatible vertex, join or create. Only a
+        // variant with the state's signature can be compatible, and
+        // `compatible` still decides, so the lowest compatible variant
+        // is found without testing every variant at `addr`.
+        let refine = limits.code_pointer_refinement;
+        let sig = Self::signature(binary, &state, refine);
+        let sigs = self.variants.entry(addr).or_default();
+        let at = |i: usize| VertexId::At(addr, i as u32);
+        let target = (0..sigs.len()).find(|&i| {
+            sigs[i] == sig && Self::compatible(binary, &state, &self.graph.vertices[&at(i)].state, refine)
+        });
+        debug_assert_eq!(
+            target.map(at),
+            self.graph
+                .vertices_at(addr)
+                .into_iter()
+                .find(|vid| Self::compatible(binary, &state, &self.graph.vertices[vid].state, refine)),
+            "signature index disagrees with the compatible-vertex walk at {addr:#x}"
+        );
+        let (vid, to_explore) = match target {
+            Some(i) => {
+                let vid = at(i);
+                if let Some((src, instr)) = from {
+                    self.graph.add_edge(src, vid, instr);
                 }
                 // Borrow, don't clone: the existing state is only read
                 // (leq + join) before the vertex is overwritten.
@@ -325,17 +371,24 @@ impl FnExploration {
                         *joins > limits.widen_after
                     };
                     let joined = timed(cx.metrics, Phase::Join, || state.join(existing, widen));
+                    // The index must describe the stored state. Today's
+                    // join keeps the existing pairs (equal immediates
+                    // unify); re-signing keeps the index exact should a
+                    // join ever drop one.
+                    sigs[i] = Self::signature(binary, &joined, refine);
                     self.graph.add_vertex(vid, joined.clone(), true);
                     (vid, Some(joined))
                 }
             }
             None => {
-                let variant = self.variants.entry(addr).or_insert(0);
-                let vid = VertexId::At(addr, *variant);
-                *variant += 1;
+                let vid = at(sigs.len());
+                sigs.push(sig);
                 self.graph.add_vertex(vid, state.clone(), true);
-                if let Some((src, instr)) = &from {
-                    self.graph.add_edge(*src, vid, instr.clone());
+                if let Some((src, instr)) = from {
+                    // A vertex created by this step has no incoming
+                    // edge yet, so this one cannot be a duplicate:
+                    // skip `add_edge`'s scan over every edge.
+                    self.graph.edges.push(Edge { from: src, to: vid, instr });
                 }
                 (vid, Some(state))
             }

@@ -67,12 +67,13 @@ impl HoareGraph {
         HoareGraph::default()
     }
 
-    /// All vertex ids at instruction address `addr`.
+    /// All vertex ids at instruction address `addr`, in variant order.
+    /// A range over the derived `Ord` (address, then variant), so only
+    /// the variants at `addr` are visited.
     pub fn vertices_at(&self, addr: u64) -> Vec<VertexId> {
         self.vertices
-            .keys()
-            .filter(|id| matches!(id, VertexId::At(a, _) if *a == addr))
-            .copied()
+            .range(VertexId::At(addr, 0)..=VertexId::At(addr, u32::MAX))
+            .map(|(id, _)| *id)
             .collect()
     }
 
@@ -172,6 +173,28 @@ mod tests {
         assert_eq!(g.state_count(), 3);
         assert_eq!(g.vertices_at(0x11).len(), 2);
         assert_eq!(g.successors(VertexId::At(0x10, 0)).count(), 2);
+    }
+
+    #[test]
+    fn vertices_at_matches_a_full_scan() {
+        let mut g = HoareGraph::new();
+        for addr in [0x10, 0x11, 0x12, u64::MAX] {
+            for variant in [0, 1, 3, u32::MAX] {
+                g.add_vertex(VertexId::At(addr, variant), SymState::function_entry(0x10), true);
+            }
+        }
+        g.add_vertex(VertexId::Exit, SymState::function_entry(0x10), true);
+        for addr in [0, 0x10, 0x11, 0x12, 0x13, u64::MAX] {
+            let scanned: Vec<VertexId> = g
+                .vertices
+                .keys()
+                .filter(|id| matches!(id, VertexId::At(a, _) if *a == addr))
+                .copied()
+                .collect();
+            assert_eq!(g.vertices_at(addr), scanned, "addr {addr:#x}");
+        }
+        assert_eq!(g.vertices_at(0x11).len(), 4);
+        assert!(g.vertices_at(0x13).is_empty());
     }
 
     #[test]

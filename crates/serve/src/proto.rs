@@ -153,6 +153,24 @@ pub fn parse_request(line: &str) -> Result<Request, BadFrame> {
     Ok(Request { id, op, binary, deadline_ms, full, inject_panic })
 }
 
+/// Lowercase hex digit of each nibble value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Marks a non-hex byte in [`HEX_VALUES`].
+const NOT_HEX: u8 = 0xff;
+
+/// Nibble value of each byte (either case), or [`NOT_HEX`].
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
 /// Decode a hex string (case-insensitive, no separators).
 pub fn hex_decode(hex: &str) -> Result<Vec<u8>, String> {
     let bytes = hex.as_bytes();
@@ -160,11 +178,9 @@ pub fn hex_decode(hex: &str) -> Result<Vec<u8>, String> {
         return Err("hex payload has odd length".to_string());
     }
     let nibble = |b: u8| -> Result<u8, String> {
-        match b {
-            b'0'..=b'9' => Ok(b - b'0'),
-            b'a'..=b'f' => Ok(b - b'a' + 10),
-            b'A'..=b'F' => Ok(b - b'A' + 10),
-            _ => Err(format!("non-hex byte {:#04x} in binary payload", b)),
+        match HEX_VALUES[usize::from(b)] {
+            NOT_HEX => Err(format!("non-hex byte {:#04x} in binary payload", b)),
+            v => Ok(v),
         }
     };
     let mut out = Vec::with_capacity(bytes.len() / 2);
@@ -177,9 +193,9 @@ pub fn hex_decode(hex: &str) -> Result<Vec<u8>, String> {
 /// Encode bytes as lowercase hex (the client side of `hex_decode`).
 pub fn hex_encode(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        use std::fmt::Write as _;
-        let _ = write!(out, "{b:02x}");
+    for &b in bytes {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
     }
     out
 }
@@ -271,6 +287,41 @@ mod tests {
         let bytes: Vec<u8> = (0..=255).collect();
         assert_eq!(hex_decode(&hex_encode(&bytes)).expect("round trip"), bytes);
         assert_eq!(hex_decode("7F454C46").expect("uppercase"), vec![0x7f, 0x45, 0x4c, 0x46]);
+    }
+
+    #[test]
+    fn hex_encode_is_lowercase_two_digits_per_byte() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        let expected: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex_encode(&bytes), expected);
+    }
+
+    #[test]
+    fn hex_decode_error_messages_are_pinned() {
+        assert_eq!(hex_decode("7f4").unwrap_err(), "hex payload has odd length");
+        assert_eq!(hex_decode("7g").unwrap_err(), "non-hex byte 0x67 in binary payload");
+        // The first offending byte is named, even in the high nibble.
+        assert_eq!(hex_decode("00zG").unwrap_err(), "non-hex byte 0x7a in binary payload");
+        assert_eq!(hex_decode("\u{e9}0").unwrap_err(), "hex payload has odd length");
+        assert_eq!(hex_decode("0\u{e9}0").unwrap_err(), "non-hex byte 0xc3 in binary payload");
+        // Every byte outside [0-9a-fA-F] is rejected, in either nibble;
+        // every digit decodes to its value in either case.
+        for b in 0..=255u8 {
+            let digit = b.is_ascii_hexdigit();
+            for pair in [[b'0', b], [b, b'0']] {
+                let Ok(text) = std::str::from_utf8(&pair) else { continue };
+                match hex_decode(text) {
+                    Ok(v) => {
+                        assert!(digit, "{b:#04x} decoded to {v:?}");
+                        assert_eq!(v, [u8::from_str_radix(text, 16).expect("two hex digits")]);
+                    }
+                    Err(e) => {
+                        assert!(!digit, "{b:#04x}: {e}");
+                        assert_eq!(e, format!("non-hex byte {b:#04x} in binary payload"));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

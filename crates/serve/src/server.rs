@@ -313,8 +313,18 @@ impl Inner {
 
     fn accept_loop(self: Arc<Inner>, listener: TcpListener) {
         loop {
-            let Ok((stream, _)) = listener.accept() else { continue };
-            if self.shutting_down.load(Ordering::SeqCst) {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                // Only a draining (non-blocking) listener reports this:
+                // the backlog is empty, so stop.
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(_) => continue,
+            };
+            // Once shutdown begins, keep serving the connections already
+            // queued — dropping the listener would reset them with their
+            // frames unread — and stop when the backlog is empty. Their
+            // frames get `shutting_down` answers like any other.
+            if self.shutting_down.load(Ordering::SeqCst) && listener.set_nonblocking(true).is_err() {
                 return;
             }
             if self.conn_count.load(Ordering::SeqCst) >= self.config.max_connections {
@@ -338,6 +348,9 @@ impl Inner {
     /// One connection: poll-read lines, answer each. Never propagates a
     /// panic and never errors the connection over a bad frame.
     fn serve_connection(self: &Arc<Inner>, stream: TcpStream) {
+        // Streams accepted while draining may inherit the listener's
+        // non-blocking mode on some platforms; reads rely on the timeout.
+        let _ = stream.set_nonblocking(false);
         let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
         let writer = Arc::new(Mutex::new(match stream.try_clone() {
             Ok(w) => w,
@@ -350,9 +363,6 @@ impl Inner {
         // then discard bytes until the next newline.
         let mut discarding = false;
         loop {
-            if self.shutting_down.load(Ordering::SeqCst) && buf.is_empty() {
-                return;
-            }
             let n = match reader.read(&mut chunk) {
                 Ok(0) => return, // peer closed
                 Ok(n) => n,
@@ -360,7 +370,14 @@ impl Inner {
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
                 {
-                    continue
+                    // Close on shutdown only once the peer has gone quiet
+                    // with no partial frame buffered: closing with sent
+                    // bytes unread would reset the connection instead of
+                    // answering them.
+                    if self.shutting_down.load(Ordering::SeqCst) && buf.is_empty() {
+                        return;
+                    }
+                    continue;
                 }
                 Err(_) => return,
             };
@@ -444,10 +461,15 @@ impl Inner {
         }
     }
 
+    /// Answer a frame that arrived while draining with `shutting_down`.
+    fn refuse_draining(&self, id: &str, writer: &Arc<Mutex<TcpStream>>) {
+        self.counters.drained.fetch_add(1, Ordering::Relaxed);
+        send_line(writer, &error_response(id, "shutting_down", "daemon is draining"));
+    }
+
     fn admit(self: &Arc<Inner>, req: Request, writer: &Arc<Mutex<TcpStream>>) {
         if self.shutting_down.load(Ordering::SeqCst) {
-            self.counters.drained.fetch_add(1, Ordering::Relaxed);
-            send_line(writer, &error_response(&req.id, "shutting_down", "daemon is draining"));
+            self.refuse_draining(&req.id, writer);
             return;
         }
         let rel = self.relative_budget(&req);
@@ -473,6 +495,15 @@ impl Inner {
         // Admission: a full queue sheds instead of buffering.
         {
             let mut queue = self.queue.lock().expect("queue lock");
+            // Re-checked under the queue lock: workers exit only after
+            // seeing the flag and an empty queue under this lock, so a
+            // job pushed below is always executed or drained, never
+            // stranded by a shutdown that began after the check above.
+            if self.shutting_down.load(Ordering::SeqCst) {
+                drop(queue);
+                self.refuse_draining(&req.id, writer);
+                return;
+            }
             if queue.len() >= self.config.queue_capacity {
                 self.counters.shed.fetch_add(1, Ordering::Relaxed);
                 drop(queue);
