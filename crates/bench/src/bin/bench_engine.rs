@@ -133,7 +133,7 @@ const PHASES: [&str; 5] = ["decode", "tau", "join", "solver", "export"];
 fn phase_pass(bins: &[Binary]) -> [u64; 5] {
     let mut totals = [0u64; 5];
     for b in bins {
-        let lifter = Lifter::new(b).sequential();
+        let lifter = Lifter::new(b).workers(1);
         let _ = lifter.lift_all();
         for p in lifter.metrics_snapshot().phases {
             if let Some(i) = PHASES.iter().position(|n| *n == p.phase.name()) {
@@ -158,7 +158,7 @@ fn cache_pass(bins: &[Binary], reps: usize) -> CacheBench {
         let mut best_cold = Duration::MAX;
         let mut best_warm = Duration::MAX;
         for rep in 0..reps {
-            let lifter = Lifter::new(b).sequential();
+            let lifter = Lifter::new(b).workers(1);
             let t0 = Instant::now();
             let _ = lifter.lift_all();
             best_cold = best_cold.min(t0.elapsed());

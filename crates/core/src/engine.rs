@@ -3,30 +3,31 @@
 //!
 //! A [`Lifter`] is one lifting *session* over one binary: it owns the
 //! shared solver-query memo table ([`QueryCache`]) and the phase-level
-//! [`Metrics`] sink, and exposes two drivers —
+//! [`Metrics`] sink. One engine lifts a set of root entries and their
+//! call-target closure on a work-stealing worker pool; the session
+//! seeds it two ways —
 //!
-//! - [`Lifter::lift_entry`]: the legacy single-entry driver (the
-//!   "Binaries" / "Library functions" modes of Table 1), exploring the
-//!   call closure of one address sequentially;
-//! - [`Lifter::lift_all`]: the whole-binary engine, which discovers
-//!   every function entry (the ELF entry point, defined function
-//!   symbols, and the call-target closure) and lifts them on a
-//!   work-stealing worker pool.
+//! - [`Lifter::lift_entry`]: one root (the "Binaries" / "Library
+//!   functions" modes of Table 1);
+//! - [`Lifter::lift_all`]: every discovered function entry (the ELF
+//!   entry point and the defined function symbols).
 //!
 //! # Determinism
 //!
-//! `lift_all` is *bulk-synchronous*: each round runs every function
+//! The engine is *bulk-synchronous*: each round runs every function
 //! with bag work to quiescence in parallel, then a single coordinator
 //! discovers new callees and activates pending returns in sorted
 //! address order. Because functions are explored context-free (§4.2.2)
 //! — no symbolic state ever flows between two functions — and each
 //! function owns a private fresh-symbol counter, a function's Hoare
 //! Graph depends only on the binary and the config, never on worker
-//! scheduling. `lift_all` with N workers is therefore byte-identical to
-//! `lift_all` with one worker, *except* when a global budget dimension
-//! (wall clock, solver queries, forks) trips mid-round: exhaustion
-//! points depend on timing by nature. The determinism test in
-//! `tests/engine.rs` pins the unlimited-budget guarantee.
+//! scheduling or on which roots the run started from. A lift with N
+//! workers is therefore byte-identical to one with one worker, and
+//! `lift_entry` gives every function of its closure the graph
+//! `lift_all` gives it, *except* when a global budget dimension (wall
+//! clock, solver queries, forks) trips mid-round: exhaustion points
+//! depend on timing by nature. The tests in `tests/engine.rs` pin the
+//! unlimited-budget guarantees.
 //!
 //! # Memoization soundness
 //!
@@ -39,8 +40,8 @@ use crate::budget::BudgetMeter;
 use crate::explore::{ExploreCx, FnExploration};
 use crate::fingerprint::Fingerprint;
 use crate::lift::{
-    assemble, concurrency_reject, isolated, lift_bytes_impl, lift_from, panic_message,
-    reject_of_exhaustion, FnLift, LiftConfig, LiftResult,
+    assemble, concurrency_reject, isolated, lift_bytes_impl, panic_message, reject_of_exhaustion,
+    FnLift, LiftConfig, LiftResult,
 };
 use crate::metrics::{Metrics, MetricsSnapshot, Phase};
 use crate::store_api::ArtifactStore;
@@ -170,20 +171,15 @@ impl<'b> Lifter<'b> {
         self
     }
 
-    /// Requests `n` worker threads for [`Lifter::lift_all`]
-    /// (`0` = automatic, one per available core).
+    /// Requests `n` engine worker threads (`0` = automatic, one per
+    /// available core). Unless a global budget trips, the worker count
+    /// changes a lift's speed, never its result.
     pub fn workers(mut self, n: usize) -> Lifter<'b> {
         self.workers = n;
         self
     }
 
-    /// Forces single-threaded operation (equivalent to `.workers(1)`);
-    /// the reference mode for determinism checks.
-    pub fn sequential(self) -> Lifter<'b> {
-        self.workers(1)
-    }
-
-    /// The worker count `lift_all` will actually use.
+    /// The worker count the engine will actually use.
     pub fn resolved_workers(&self) -> usize {
         if self.workers == 0 {
             default_workers()
@@ -219,32 +215,25 @@ impl<'b> Lifter<'b> {
         lift_bytes_impl(bytes, config)
     }
 
-    /// Lift the call closure of one entry address with the sequential
-    /// driver, sharing this session's solver cache and metrics.
+    /// Lift the call closure of one entry address: the engine run with
+    /// `entry` as its only root, sharing this session's solver cache
+    /// and metrics. Each function of the closure gets the graph
+    /// [`Lifter::lift_all`] gives it. An attached store is not
+    /// consulted.
     pub fn lift_entry(&self, entry: u64) -> LiftResult {
         let fp = Fingerprint::of(&self.config);
         self.cache.bind_fingerprint(cache_scope(&fp, self.binary));
-        let result = isolated("lift", || {
-            lift_from(
-                self.binary,
-                entry,
-                &self.config,
-                self.deadline,
-                Some(&self.cache),
-                Some(&self.metrics),
-            )
-        });
+        let result = isolated("lift", || self.run_engine(&[entry], BTreeMap::new()));
         self.account(&result);
         result
     }
 
-    /// Lift every discovered function of the binary on the parallel
-    /// engine.
+    /// Lift every discovered function of the binary.
     ///
     /// Entry discovery seeds the ELF entry point plus every defined
     /// function symbol inside an executable segment; internal
     /// call targets are then added transitively as exploration finds
-    /// them, exactly as in the single-entry driver.
+    /// them, exactly as for [`Lifter::lift_entry`].
     /// With a store attached (see [`Lifter::with_store`]), `lift_all`
     /// runs incrementally: confirmed cached artifacts are merged into
     /// the result without re-exploration, and only functions whose
@@ -380,7 +369,7 @@ impl<'b> Lifter<'b> {
         let mut slots: BTreeMap<u64, FnSlot> = roots
             .iter()
             .filter(|a| !cached.contains_key(a))
-            .map(|&a| (a, FnSlot { e: FnExploration::new(a), fresh: 0, internal_error: None }))
+            .map(|&a| (a, FnSlot { e: FnExploration::new(a), internal_error: None }))
             .collect();
         let mut returns_propagated: Vec<u64> =
             cached.values().filter(|f| f.returns).map(|f| f.entry).collect();
@@ -422,7 +411,7 @@ impl<'b> Lifter<'b> {
                 for c in new_callees {
                     slots
                         .entry(c)
-                        .or_insert_with(|| FnSlot { e: FnExploration::new(c), fresh: 0, internal_error: None });
+                        .or_insert_with(|| FnSlot { e: FnExploration::new(c), internal_error: None });
                 }
                 continue;
             }
@@ -492,14 +481,13 @@ impl<'b> Lifter<'b> {
             metrics: Some(&self.metrics),
         };
         let run_one = |s: &mut FnSlot| {
-            let FnSlot { e, fresh, internal_error } = s;
             let ran = catch_unwind(AssertUnwindSafe(|| {
-                e.run(&cx, fresh);
+                s.e.run(&cx);
             }));
             if let Err(payload) = ran {
                 s.e.bag.clear();
                 s.e.pending.clear();
-                *internal_error = Some(panic_message(payload));
+                s.internal_error = Some(panic_message(payload));
             }
         };
         let pool = workers.min(runnable.len());
@@ -582,32 +570,7 @@ impl<'b> Lifter<'b> {
         resolver: &dyn crate::refine::IndirectResolver,
         max_rounds: usize,
     ) -> crate::refine::RefinedLift {
-        let mut hints = self.config.step.indirect_hints.clone();
-        let mut result = self.lift_entry(entry);
-        let mut rounds = 1usize;
-        let mut converged = false;
-        let mut poisoned = BTreeSet::new();
-        loop {
-            match Lifter::refine_step(self.binary, resolver, &result, &hints, &mut poisoned) {
-                None => {
-                    converged = true;
-                    break;
-                }
-                Some(next) => {
-                    if rounds >= max_rounds {
-                        // `next` stays uncommitted: `result` was
-                        // lifted under `hints`, and that is what we
-                        // report (and leave in the config).
-                        break;
-                    }
-                    hints = next;
-                    self.config.step.indirect_hints = hints.clone();
-                    result = self.lift_entry(entry);
-                    rounds += 1;
-                }
-            }
-        }
-        crate::refine::RefinedLift { result, rounds, converged, hints, demoted: poisoned }
+        self.refine_fixpoint(resolver, max_rounds, |l| l.lift_entry(entry), |r| r).1
     }
 
     /// [`Lifter::lift_all`] under the same refinement fixpoint as
@@ -620,37 +583,56 @@ impl<'b> Lifter<'b> {
         resolver: &dyn crate::refine::IndirectResolver,
         max_rounds: usize,
     ) -> (BinaryLiftReport, crate::refine::RefinedLift) {
+        self.refine_fixpoint(resolver, max_rounds, Lifter::lift_all, |r| &r.result)
+    }
+
+    /// The refinement fixpoint behind [`Lifter::lift_entry_refined`]
+    /// and [`Lifter::lift_all_refined`], repeating `lift` (whose
+    /// [`LiftResult`] `result_of` exposes) until [`Lifter::refine_step`]
+    /// finds nothing to change or `max_rounds` lifts have run. Returns
+    /// the last lift and the fixpoint outcome, whose `result` is a
+    /// clone of the last lift's.
+    fn refine_fixpoint<T>(
+        &mut self,
+        resolver: &dyn crate::refine::IndirectResolver,
+        max_rounds: usize,
+        lift: impl Fn(&Lifter<'b>) -> T,
+        result_of: impl Fn(&T) -> &LiftResult,
+    ) -> (T, crate::refine::RefinedLift) {
         let mut hints = self.config.step.indirect_hints.clone();
-        let mut report = self.lift_all();
+        let mut last = lift(self);
         let mut rounds = 1usize;
         let mut converged = false;
         let mut poisoned = BTreeSet::new();
         loop {
-            match Lifter::refine_step(self.binary, resolver, &report.result, &hints, &mut poisoned)
-            {
+            let result = result_of(&last);
+            match Lifter::refine_step(self.binary, resolver, result, &hints, &mut poisoned) {
                 None => {
                     converged = true;
                     break;
                 }
                 Some(next) => {
                     if rounds >= max_rounds {
+                        // `next` stays uncommitted: `last` was lifted
+                        // under `hints`, and that is what we report
+                        // (and leave in the config).
                         break;
                     }
                     hints = next;
                     self.config.step.indirect_hints = hints.clone();
-                    report = self.lift_all();
+                    last = lift(self);
                     rounds += 1;
                 }
             }
         }
         let refined = crate::refine::RefinedLift {
-            result: report.result.clone(),
+            result: result_of(&last).clone(),
             rounds,
             converged,
             hints,
             demoted: poisoned,
         };
-        (report, refined)
+        (last, refined)
     }
 
     /// One resolve pass of the refinement fixpoint: re-validate the
@@ -682,12 +664,10 @@ impl<'b> Lifter<'b> {
     }
 }
 
-/// One function's engine-side state: its exploration plus a private
-/// fresh-symbol counter (sound because exploration is context-free —
-/// no state flows between functions) and any isolated panic.
+/// One function's engine-side state: its exploration plus any
+/// isolated panic.
 struct FnSlot {
     e: FnExploration,
-    fresh: u64,
     internal_error: Option<String>,
 }
 
@@ -699,8 +679,8 @@ pub struct BinaryLiftReport {
     /// symbols), sorted. Call targets found transitively appear in
     /// `result.functions` but not here.
     pub roots: Vec<u64>,
-    /// Per-function results, identical in shape to the single-entry
-    /// driver's.
+    /// Per-function results, identical in shape to
+    /// [`Lifter::lift_entry`]'s.
     pub result: LiftResult,
     /// Frozen metrics for this run: per-phase timings, gauges, solver
     /// cache counters, worker count and wall time.

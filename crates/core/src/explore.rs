@@ -43,7 +43,7 @@ pub struct ExploreCx<'a> {
 }
 
 /// Time `f` under `phase` when a metrics sink is present; otherwise
-/// run it untimed (the legacy free functions pay zero overhead).
+/// run it untimed.
 fn timed<T>(metrics: Option<&Metrics>, phase: Phase, f: impl FnOnce() -> T) -> T {
     match metrics {
         Some(m) => m.time(phase, f),
@@ -147,6 +147,10 @@ pub struct FnExploration {
     /// entry `i` belongs to vertex `At(addr, i)`, and the length is the
     /// next variant index. See [`FnExploration::signature`].
     variants: BTreeMap<u64, Vec<u64>>,
+    /// This function's fresh-symbol counter. Private to the function,
+    /// which is sound because exploration is context-free (§4.2.2): no
+    /// symbolic state flows between functions.
+    fresh: u64,
     /// Steps executed (budget accounting).
     pub steps: usize,
 }
@@ -197,6 +201,7 @@ impl FnExploration {
             callee_deps: BTreeMap::new(),
             join_counts: BTreeMap::new(),
             variants: BTreeMap::new(),
+            fresh: 0,
             steps: 0,
         }
     }
@@ -271,7 +276,7 @@ impl FnExploration {
     /// [`Annotation::BudgetFrontier`], and [`FnExploration::exhausted`]
     /// records the dimension. Only verification failures set
     /// [`FnExploration::rejected`].
-    pub fn run(&mut self, cx: &ExploreCx<'_>, fresh: &mut u64) -> bool {
+    pub fn run(&mut self, cx: &ExploreCx<'_>) -> bool {
         let mut worked = false;
         while let Some(item) = self.bag.pop() {
             worked = true;
@@ -307,7 +312,7 @@ impl FnExploration {
                 self.bag.clear();
                 return worked;
             }
-            self.explore_item(cx, fresh, item);
+            self.explore_item(cx, item);
         }
         worked
     }
@@ -329,7 +334,7 @@ impl FnExploration {
     }
 
     /// One iteration of Algorithm 1's `explore`.
-    fn explore_item(&mut self, cx: &ExploreCx<'_>, fresh: &mut u64, item: BagItem) {
+    fn explore_item(&mut self, cx: &ExploreCx<'_>, item: BagItem) {
         let ExploreCx { binary, layout, step: step_config, limits, meter, .. } = *cx;
         let BagItem { addr, state, from } = item;
 
@@ -436,7 +441,7 @@ impl FnExploration {
             binary,
             layout: Arc::clone(layout),
             config: step_config,
-            fresh,
+            fresh: &mut self.fresh,
             diags: &mut self.diags,
             meter,
             cache: cx.cache.cloned(),

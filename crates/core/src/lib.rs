@@ -26,9 +26,8 @@
 //! - [`diag`]: verification errors, unsoundness annotations and
 //!   generated proof obligations (§5.3);
 //! - [`engine`]: the [`Lifter`](engine::Lifter) session API and the
-//!   parallel whole-binary engine with its shared solver-query cache;
-//! - [`lift`]: the sequential single-entry driver and
-//!   [`LiftConfig`](lift::LiftConfig);
+//!   parallel lifting engine with its shared solver-query cache;
+//! - [`lift`]: [`LiftConfig`], lift results and reject verdicts;
 //! - [`metrics`]: the phase-level [`Metrics`](metrics::Metrics) sink
 //!   behind `hgl lift --metrics`;
 //! - [`budget`]: layered resource budgets (wall clock, fuel, solver

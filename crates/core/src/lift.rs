@@ -1,30 +1,27 @@
-//! The single-entry lifting driver and its configuration.
+//! Lifting configuration, lift results and reject verdicts, plus the
+//! helpers the engine uses to assemble results and isolate panics.
 //!
 //! The entry point is the [`Lifter`](crate::engine::Lifter) session
 //! builder in [`engine`](crate::engine): `Lifter::new(&binary)
-//! .lift_all()` lifts every discovered function on a worker pool,
-//! `.lift_entry(addr)` lifts the closure of one entry, and
-//! `Lifter::from_bytes` is the hardened front door for untrusted
-//! images. (The deprecated free-function wrappers `lift`,
-//! `lift_function` and `lift_bytes` were removed once every caller had
-//! migrated; the session API is the single path into the engine.)
+//! .lift_all()` lifts every discovered function, `.lift_entry(addr)`
+//! lifts the closure of one entry, and `Lifter::from_bytes` is the
+//! hardened front door for untrusted images. Both lifts run the same
+//! engine.
 //!
-//! Either way, internal calls are handled compositionally: every
-//! function is explored exactly once from a fresh context-free state
-//! (§4.2.2), and return sites become reachable only when their callee
-//! provably returns.
+//! Internal calls are handled compositionally: every function is
+//! explored exactly once from a fresh context-free state (§4.2.2), and
+//! return sites become reachable only when their callee provably
+//! returns.
 
-use crate::budget::{Budget, BudgetDim, BudgetExhausted, BudgetMeter};
+use crate::budget::{Budget, BudgetDim, BudgetExhausted};
 use crate::diag::{Annotation, ProofObligation, VerificationError};
-use crate::explore::{ExploreCx, ExploreLimits, FnExploration};
+use crate::explore::{ExploreLimits, FnExploration};
 use crate::graph::HoareGraph;
-use crate::metrics::Metrics;
 use crate::tau::StepConfig;
 use hgl_elf::Binary;
-use hgl_solver::{Assumption, Layout, QueryCache};
+use hgl_solver::Assumption;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Lifting configuration, assembled with chained builder methods:
@@ -333,10 +330,6 @@ impl LiftResult {
     }
 }
 
-fn layout_of(binary: &Binary) -> Arc<Layout> {
-    Arc::new(Layout { text: binary.text_ranges(), data: binary.data_ranges() })
-}
-
 /// Renders a `catch_unwind` payload for a `RejectReason::Internal`.
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -405,144 +398,9 @@ pub(crate) fn reject_of_exhaustion(ex: &BudgetExhausted) -> RejectReason {
     }
 }
 
-/// The sequential single-entry driver: explores `entry`'s call closure
-/// function-by-function with one global fresh-symbol counter.
-/// [`Lifter::lift_entry`] lands here, attaching the session's solver
-/// cache, metrics sink and (if set) absolute deadline.
-///
-/// [`Lifter::lift_entry`]: crate::engine::Lifter::lift_entry
-pub(crate) fn lift_from(
-    binary: &Binary,
-    entry: u64,
-    config: &LiftConfig,
-    deadline: Option<Instant>,
-    cache: Option<&Arc<QueryCache>>,
-    metrics: Option<&Metrics>,
-) -> LiftResult {
-    let start = Instant::now();
-    let mut result = LiftResult::default();
-
-    if let Some(reject) = concurrency_reject(binary) {
-        result.binary_reject = Some(reject);
-        result.elapsed = start.elapsed();
-        return result;
-    }
-
-    let layout = layout_of(binary);
-    let meter = BudgetMeter::start_with_deadline(&config.budget, deadline);
-    let mut fresh: u64 = 0;
-
-    let mut explorations: BTreeMap<u64, FnExploration> = BTreeMap::new();
-    explorations.insert(entry, FnExploration::new(entry));
-    // Functions whose return has been proven and propagated.
-    let mut returns_propagated: Vec<u64> = Vec::new();
-    // Functions whose exploration panicked (isolated; see below).
-    let mut internal_errors: BTreeMap<u64, String> = BTreeMap::new();
-
-    loop {
-        if let Some(ex) = meter.check_global() {
-            // Graceful degradation: keep every partial graph and mark
-            // the unexplored frontier of each function before stopping.
-            for e in explorations.values_mut() {
-                if !e.bag.is_empty() {
-                    e.mark_frontier(ex);
-                }
-            }
-            result.binary_reject = Some(reject_of_exhaustion(&ex));
-            break;
-        }
-        // Run one function with work available.
-        let runnable = explorations
-            .iter()
-            .find(|(_, e)| !e.bag.is_empty() && e.rejected.is_none())
-            .map(|(k, _)| *k);
-        let Some(addr) = runnable else {
-            // No bag work: discover new callees, activate pendings on
-            // already-proven callees, or propagate newly proven returns.
-            let mut new_callees = Vec::new();
-            for e in explorations.values() {
-                for c in e.pending_callees() {
-                    if !explorations.contains_key(&c) {
-                        new_callees.push(c);
-                    }
-                }
-            }
-            if !new_callees.is_empty() {
-                for c in new_callees {
-                    explorations.entry(c).or_insert_with(|| FnExploration::new(c));
-                }
-                continue;
-            }
-            // Pendings created *after* their callee's return was first
-            // propagated still need activation.
-            let mut activated = false;
-            for callee in returns_propagated.clone() {
-                for e in explorations.values_mut() {
-                    let before = e.bag.len();
-                    e.activate_returns_from(callee);
-                    activated |= e.bag.len() != before;
-                }
-            }
-            if activated {
-                continue;
-            }
-            // Propagate newly proven returns.
-            let newly: Vec<u64> = explorations
-                .iter()
-                .filter(|(a, e)| e.returns && !returns_propagated.contains(a))
-                .map(|(a, _)| *a)
-                .collect();
-            if newly.is_empty() {
-                break; // fixpoint
-            }
-            for callee in newly {
-                returns_propagated.push(callee);
-                for e in explorations.values_mut() {
-                    e.activate_returns_from(callee);
-                }
-            }
-            continue;
-        };
-        let e = explorations.get_mut(&addr).expect("exists");
-        // Panic isolation: a fault while exploring one function becomes
-        // an `Internal` reject for that function; the remaining
-        // functions of the unit still lift.
-        let cx = ExploreCx {
-            binary,
-            layout: &layout,
-            step: &config.step,
-            limits: &config.limits,
-            budget: &config.budget,
-            meter: &meter,
-            cache,
-            metrics,
-        };
-        let ran = catch_unwind(AssertUnwindSafe(|| e.run(&cx, &mut fresh)));
-        if let Err(payload) = ran {
-            e.bag.clear();
-            e.pending.clear();
-            internal_errors.insert(addr, panic_message(payload));
-            continue;
-        }
-        // Immediately propagate a newly proven return so callers wake up.
-        if e.returns && !returns_propagated.contains(&addr) {
-            returns_propagated.push(addr);
-            for e2 in explorations.values_mut() {
-                e2.activate_returns_from(addr);
-            }
-        }
-    }
-
-    assemble(explorations, internal_errors, BTreeMap::new(), &mut result);
-    result.elapsed = start.elapsed();
-    result
-}
-
 /// Assembles per-function explorations into [`FnLift`] results,
 /// propagating callee rejection (a function whose reachable callee was
 /// rejected is itself rejected with [`RejectReason::CalleeRejected`]).
-/// Shared by the legacy driver and the parallel engine so the two
-/// cannot drift in how verdicts are derived.
 ///
 /// `cached` carries artifacts replayed from a persistent store (empty
 /// outside incremental mode). A cached artifact records its *intrinsic*

@@ -221,7 +221,7 @@ pub struct MetricsSnapshot {
     pub functions_lifted: u64,
     /// Functions with a rejection verdict.
     pub functions_rejected: u64,
-    /// Engine rounds run (0 for the legacy single-entry driver).
+    /// Engine rounds run.
     pub rounds: u64,
     /// Histogram of decode rejections, keyed by
     /// [`hgl_x86::DecodeError::reject_key`] bucket. Empty when every

@@ -15,21 +15,25 @@ use hgl_core::lift::LiftResult;
 use hgl_core::VertexId;
 use std::fmt::Write;
 
-/// Escape a string for JSON.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Escape `s` as a JSON string literal, quotes included, into `out`.
+/// Control characters never appear raw, so an emitted string never
+/// breaks a line.
+pub fn write_json_string(s: &str, out: &mut String) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
 }
 
 pub(crate) fn vid(v: VertexId) -> String {
@@ -57,7 +61,9 @@ pub fn export_json(result: &LiftResult) -> String {
     );
     match result.reject_reason() {
         Some(r) => {
-            let _ = writeln!(o, "  \"reject_reason\": \"{}\",", esc(&r.to_string()));
+            o.push_str("  \"reject_reason\": ");
+            write_json_string(&r.to_string(), &mut o);
+            o.push_str(",\n");
         }
         None => {
             let _ = writeln!(o, "  \"reject_reason\": null,");
@@ -72,9 +78,10 @@ pub fn export_json(result: &LiftResult) -> String {
         o.push_str("      \"vertices\": [\n");
         for (vi, (id, v)) in f.graph.vertices.iter().enumerate() {
             o.push_str("        {");
-            let _ = write!(o, " \"id\": {},", vid(*id));
-            let _ = write!(o, " \"invariant\": \"{}\",", esc(&v.state.pred.to_string()));
-            let _ = write!(o, " \"memory_model\": \"{}\"", esc(&v.state.model.to_string()));
+            let _ = write!(o, " \"id\": {}, \"invariant\": ", vid(*id));
+            write_json_string(&v.state.pred.to_string(), &mut o);
+            o.push_str(", \"memory_model\": ");
+            write_json_string(&v.state.model.to_string(), &mut o);
             o.push_str(" }");
             if vi + 1 < f.graph.vertices.len() {
                 o.push(',');
@@ -88,12 +95,12 @@ pub fn export_json(result: &LiftResult) -> String {
             o.push_str("        {");
             let _ = write!(
                 o,
-                " \"from\": {}, \"to\": {}, \"address\": \"{:#x}\", \"instruction\": \"{}\"",
+                " \"from\": {}, \"to\": {}, \"address\": \"{:#x}\", \"instruction\": ",
                 vid(e.from),
                 vid(e.to),
                 e.instr.addr,
-                esc(&e.instr.to_string())
             );
+            write_json_string(&e.instr.to_string(), &mut o);
             o.push_str(" }");
             if ei + 1 < f.graph.edges.len() {
                 o.push(',');
@@ -108,7 +115,7 @@ pub fn export_json(result: &LiftResult) -> String {
                 if i > 0 {
                     s.push_str(", ");
                 }
-                let _ = write!(s, "\"{}\"", esc(it));
+                write_json_string(it, &mut s);
             }
             s.push(']');
             s
@@ -147,19 +154,17 @@ pub fn export_dot(result: &LiftResult, entry: u64) -> Option<String> {
     let _ = writeln!(o, "  node [shape=box, fontname=\"monospace\"];");
     for (id, v) in &f.graph.vertices {
         let label = match id {
-            VertexId::At(a, _) => format!("{a:#x}\\n{}", esc(&truncate(&v.state.pred.to_string(), 60))),
+            VertexId::At(a, _) => format!("{a:#x}\n{}", truncate(&v.state.pred.to_string(), 60)),
             VertexId::Exit => "exit".to_string(),
         };
-        let _ = writeln!(o, "  {} [label=\"{}\"];", node_name(*id), label);
+        let _ = write!(o, "  {} [label=", node_name(*id));
+        write_json_string(&label, &mut o);
+        o.push_str("];\n");
     }
     for e in &f.graph.edges {
-        let _ = writeln!(
-            o,
-            "  {} -> {} [label=\"{}\"];",
-            node_name(e.from),
-            node_name(e.to),
-            esc(&e.instr.to_string())
-        );
+        let _ = write!(o, "  {} -> {} [label=", node_name(e.from), node_name(e.to));
+        write_json_string(&e.instr.to_string(), &mut o);
+        o.push_str("];\n");
     }
     let _ = writeln!(o, "}}");
     Some(o)
@@ -226,6 +231,8 @@ mod tests {
 
     #[test]
     fn escaping() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let mut out = String::new();
+        write_json_string("a\"b\\c\nd\r\te\u{1}", &mut out);
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\r\\te\\u0001\"");
     }
 }

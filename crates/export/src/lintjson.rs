@@ -6,26 +6,27 @@
 //! so it is golden-snapshot tested byte-for-byte.
 
 use crate::envelope::{open, LINT_SCHEMA};
-use crate::json::{esc, vid};
+use crate::json::{vid, write_json_string};
 use hgl_analysis::{AnalysisReport, ClassifiedWrite};
 use std::fmt::Write;
 
 fn write_json(o: &mut String, w: &ClassifiedWrite) {
-    let classes = w
-        .classes
-        .iter()
-        .map(|c| format!("\"{}\"", esc(&c.to_string())))
-        .collect::<Vec<_>>()
-        .join(", ");
     let _ = write!(
         o,
         "{{ \"addr\": \"{:#x}\", \"size\": {}, \"family\": \"{}\", \"resolved\": {}, \
-         \"classes\": [{classes}] }}",
+         \"classes\": [",
         w.addr,
         w.size,
         w.family(),
         w.resolved(),
     );
+    for (i, c) in w.classes.iter().enumerate() {
+        if i > 0 {
+            o.push_str(", ");
+        }
+        write_json_string(&c.to_string(), o);
+    }
+    o.push_str("] }");
 }
 
 /// Serialise an [`AnalysisReport`] to the `hgl-lint-v1` document.
@@ -86,12 +87,13 @@ pub fn export_lint_json(report: &AnalysisReport) -> String {
         let _ = write!(
             o,
             "    {{ \"severity\": \"{}\", \"rule\": \"{}\", \"function\": \"{:#x}\", \
-             \"node\": {node}, \"edge\": {edge}, \"detail\": \"{}\" }}",
+             \"node\": {node}, \"edge\": {edge}, \"detail\": ",
             d.severity,
             d.rule,
             d.function,
-            esc(&d.detail),
         );
+        write_json_string(&d.detail, &mut o);
+        o.push_str(" }");
     }
     o.push_str("\n  ]\n");
     o.push_str("}\n");

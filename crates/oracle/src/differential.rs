@@ -491,7 +491,7 @@ pub fn run_differential(cfg: &DiffConfig) -> DiffReport {
                     break 'programs;
                 }
             };
-            let verdict = hgl_rewrite::verify_relift_entry(&lifted, &reparsed);
+            let verdict = hgl_rewrite::verify_relift(&lifted, &reparsed);
             if !verdict.ok() {
                 report.divergence = Some(DiffDivergence {
                     master_seed: cfg.master_seed,

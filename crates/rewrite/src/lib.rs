@@ -47,7 +47,7 @@ use std::fmt;
 pub use emit::elf_image;
 pub use pass::{PassContext, RewritePass};
 pub use shadow::ShadowStackPass;
-pub use verify::{verify_relift, verify_relift_entry, ReliftVerdict};
+pub use verify::{verify_relift, ReliftVerdict};
 
 /// Why a rewrite failed. Every variant is a *refusal*, not a broken
 /// artifact: the rewriter never emits a binary it could not validate

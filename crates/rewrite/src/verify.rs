@@ -43,15 +43,3 @@ pub fn verify_relift(original_lift: &LiftResult, rewritten: &Binary) -> ReliftVe
     let correspondence = hgl_export::graphs_correspond(original_lift, &report.result);
     ReliftVerdict { relift: report.result, report: correspondence }
 }
-
-/// Like [`verify_relift`], but re-lift only the entry's call closure
-/// with the sequential driver. Use this when `original_lift` itself
-/// came from `Lifter::lift_entry`: the two drivers legitimately
-/// produce different (both sound) invariants for the same function —
-/// callee summaries are integrated in a different order — so the
-/// correspondence check must compare like with like.
-pub fn verify_relift_entry(original_lift: &LiftResult, rewritten: &Binary) -> ReliftVerdict {
-    let relift = Lifter::new(rewritten).lift_entry(rewritten.entry);
-    let correspondence = hgl_export::graphs_correspond(original_lift, &relift);
-    ReliftVerdict { relift, report: correspondence }
-}

@@ -12,6 +12,7 @@
 //! (ids, byte counts, millisecond deadlines) fits `f64` exactly up to
 //! 2^53, far beyond any value the daemon accepts.
 
+use hgl_export::json::write_json_string;
 use std::fmt::Write as _;
 
 /// Nesting depth cap: frames deeper than this are rejected rather
@@ -135,25 +136,6 @@ impl std::fmt::Display for Json {
         self.write(&mut out);
         f.write_str(&out)
     }
-}
-
-/// Escape `s` as a JSON string literal into `out`.
-pub fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {

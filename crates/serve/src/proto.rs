@@ -210,7 +210,7 @@ pub fn response_head(id: &str, status: &str) -> String {
 pub fn error_response(id: &str, status: &str, error: &str) -> String {
     let mut out = response_head(id, status);
     out.push_str(",\"error\":");
-    crate::json::write_json_string(error, &mut out);
+    hgl_export::json::write_json_string(error, &mut out);
     out.push('}');
     out
 }

@@ -34,13 +34,13 @@
 //! computation and receive its result, consuming no queue slot and no
 //! worker.
 
-use crate::json::write_json_string;
 use crate::proto::{
     error_response, one_line, overloaded_response, parse_request, response_head, Op, Request,
 };
 use hgl_analysis::{analyze, AnalysisConfig, Severity};
 use hgl_core::{ArtifactStore, LiftConfig, Lifter};
 use hgl_elf::Binary;
+use hgl_export::json::write_json_string;
 use hgl_export::{export_json, export_lint_json};
 use hgl_solver::QueryCache;
 use hgl_store::sha256::sha256;
