@@ -98,7 +98,9 @@ pub struct RunSummary {
     /// Final flags, packed.
     pub flags: (bool, bool, bool, bool, bool, bool),
     /// Final memory delta against the pre-run state (address →
-    /// value), shadow section excluded.
+    /// value), shadow section excluded. A byte the run first
+    /// materialised by reading it (under the zero fill) counts as
+    /// changed too, so reads of unwritten memory show up here.
     pub writes: BTreeMap<u64, u8>,
     /// Raw (pre-normalisation) step count.
     pub raw_steps: usize,
@@ -118,7 +120,7 @@ pub fn run_raw(bin: &Binary, es: &EntryState, out: Option<&RewriteOutput>, max_s
     for (r, v) in [Reg::Rax, Reg::Rcx, Reg::Rdx, Reg::Rsi, Reg::R8, Reg::R9].into_iter().zip(es.scratch) {
         m.set_reg(RegRef::full(r), v);
     }
-    let baseline: BTreeMap<u64, u8> = m.mem.entries().collect();
+    let baseline = m.mem.clone();
 
     let mut rips = Vec::new();
     let mut raw_steps = 0usize;
@@ -174,17 +176,12 @@ pub fn run_raw(bin: &Binary, es: &EntryState, out: Option<&RewriteOutput>, max_s
         }
     };
 
-    let mut writes: BTreeMap<u64, u8> = BTreeMap::new();
-    for (a, v) in m.mem.entries() {
-        if let Some(o) = out {
-            if o.shadow.map(|s| s.in_shadow(a)).unwrap_or(false) {
-                continue;
-            }
-        }
-        if baseline.get(&a) != Some(&v) {
-            writes.insert(a, v);
-        }
-    }
+    let shadow = out.and_then(|o| o.shadow);
+    let writes: BTreeMap<u64, u8> = m
+        .mem
+        .changed_since(&baseline)
+        .filter(|&(a, _)| !shadow.is_some_and(|s| s.in_shadow(a)))
+        .collect();
     let mut regs = [0u64; 16];
     for (slot, r) in regs.iter_mut().zip(GPRS) {
         *slot = m.reg(r);

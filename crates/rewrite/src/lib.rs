@@ -179,7 +179,8 @@ impl RewriteOutput {
 }
 
 /// Rewrite `binary`: identity-recompile (always), then apply `passes`
-/// in order.
+/// in order. The static-analysis lints the passes consult run only
+/// when `passes` is non-empty.
 ///
 /// # Errors
 ///
@@ -210,12 +211,15 @@ pub fn rewrite(
         shadow: None,
         guards: Vec::new(),
     };
-    // Lints decide where instrumentation is required; run them once
-    // and share the report across passes.
-    let report = hgl_analysis::analyze(binary, lift, &hgl_analysis::AnalysisConfig::default());
-    let ctx = PassContext { binary, lift, report: &report };
-    for p in passes {
-        p.apply(&ctx, &mut out)?;
+    // Lints decide where instrumentation is required. They run only
+    // when a pass runs, once, and the passes share the report; the
+    // identity rewrite never reads it.
+    if !passes.is_empty() {
+        let report = hgl_analysis::analyze(binary, lift, &hgl_analysis::AnalysisConfig::default());
+        let ctx = PassContext { binary, lift, report: &report };
+        for p in passes {
+            p.apply(&ctx, &mut out)?;
+        }
     }
     let original_len: u64 = binary.segments.iter().map(|s| s.bytes.len() as u64).sum();
     let rewritten_len: u64 = out.binary.segments.iter().map(|s| s.bytes.len() as u64).sum();
