@@ -26,13 +26,14 @@
 //!
 //! and commit the refreshed file together with the lifter change.
 
+mod common;
+
+use common::digest;
 use hoare_lift::core::{LiftConfig, Lifter};
 use hoare_lift::corpus::xen::build_study;
 use hoare_lift::corpus::{ProgramGen, StudySpec, UnitKind};
 use hoare_lift::export::export_json;
-use hoare_lift::store::sha256::{hex, sha256};
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
+use std::collections::BTreeMap;
 
 /// Study seeds whose units are pinned.
 const SEEDS: [u64; 2] = [1, 2];
@@ -41,20 +42,12 @@ const SEEDS: [u64; 2] = [1, 2];
 /// beyond the state budget, so the lift is budget-bound.
 const EXPLOSIVE_DEPTH: usize = 16;
 
-fn digest_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/explore_identity.sha256")
-}
-
 /// Deterministic configuration: no wall clock, a small state budget.
 fn config() -> LiftConfig {
     let mut c = LiftConfig::default();
     c.budget.wall_clock = None;
     c.limits.max_states = 1200;
     c
-}
-
-fn digest(doc: &str) -> String {
-    hex(&sha256(doc.as_bytes()))
 }
 
 /// `name -> digest of export_json` for every pinned lift.
@@ -103,42 +96,7 @@ fn current_digests() -> BTreeMap<String, String> {
     out
 }
 
-fn render(digests: &BTreeMap<String, String>) -> String {
-    digests.iter().map(|(name, d)| format!("{d}  {name}\n")).collect()
-}
-
-fn parse(text: &str) -> BTreeMap<String, String> {
-    text.lines()
-        .filter_map(|l| l.split_once("  "))
-        .map(|(d, name)| (name.to_string(), d.to_string()))
-        .collect()
-}
-
 #[test]
 fn budget_bound_multi_variant_graphs_are_pinned() {
-    let actual = current_digests();
-    let path = digest_path();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        std::fs::write(&path, render(&actual)).expect("write digests");
-        return;
-    }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing digest file {} ({e}); run UPDATE_GOLDEN=1 cargo test --test explore_identity",
-            path.display()
-        )
-    });
-    let expected = parse(&text);
-    let drifted: BTreeSet<&String> = expected
-        .keys()
-        .chain(actual.keys())
-        .filter(|name| expected.get(*name) != actual.get(*name))
-        .collect();
-    assert!(
-        drifted.is_empty(),
-        "lift output drifted from {} for {drifted:?}; \
-         if intentional, regenerate with UPDATE_GOLDEN=1",
-        path.display()
-    );
+    common::check_digests("explore_identity", "lift output", &current_digests());
 }
