@@ -2,8 +2,8 @@
 //! store replay) long enough for a sampling profiler to see it.
 //!
 //! ```text
-//! cargo run --release -p hgl-bench --bin profile-hotpath -- cold 200
-//! cargo run --release -p hgl-bench --bin profile-hotpath -- warmstore 200
+//! cargo run --release -p hgl-bench --bin profile_hotpath -- cold 200
+//! cargo run --release -p hgl-bench --bin profile_hotpath -- warmstore 200
 //! ```
 
 #![forbid(unsafe_code)]

@@ -2,8 +2,7 @@
 //!
 //! The `hgl-metrics-v1` document freezes one engine run: per-phase
 //! wall time and invocation counts, binary-level gauges, the solver
-//! cache's hit/miss/eviction counters, and the worker count. The bench
-//! harness in `crates/bench` consumes it to build `BENCH_pr4.json`.
+//! cache's hit/miss/eviction counters, and the worker count.
 //!
 //! Like the other JSON surfaces, the emitter is hand-rolled and fully
 //! deterministic apart from the timing values themselves.

@@ -2,10 +2,11 @@
 //! admission control, deadlines and coalescing.
 
 use hgl_corpus::inject::elf_image;
-use hgl_corpus::xen::gen_study_binary;
+use hgl_corpus::xen::{build_study, gen_study_binary, ExpectedOutcome, StudySpec};
 use hgl_serve::{Client, Json, ServeConfig, Server};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
 
 fn tmpdir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("hgl-serve-{}-{name}", std::process::id()));
@@ -20,6 +21,56 @@ fn status(resp: &Json) -> &str {
 
 fn quick_config() -> ServeConfig {
     ServeConfig { workers: 2, ..ServeConfig::default() }
+}
+
+/// How long [`occupy_worker`]'s lift holds the worker.
+const BUSY_MS: u64 = 2000;
+
+/// Send a budget-bound study unit with a `deadline_ms` of [`BUSY_MS`]
+/// from its own thread, and return once a worker has taken it off the
+/// queue. The unit explores until its deadline or the state budget
+/// stops it (about 0.6 s in a release build), so on a one-worker
+/// daemon every request sent next waits in the queue or is shed,
+/// however fast the connection threads parse frames.
+fn occupy_worker<'s>(
+    scope: &'s std::thread::Scope<'s, '_>,
+    addr: &str,
+) -> std::thread::ScopedJoinHandle<'s, Json> {
+    let study = build_study(&StudySpec::mini(), 7);
+    let unit = study
+        .units
+        .iter()
+        .find(|u| u.expected == ExpectedOutcome::Timeout)
+        .expect("the mini study has a budget-bound unit");
+    let image = elf_image(&unit.binary);
+    let busy_addr = addr.to_string();
+    let busy = scope.spawn(move || {
+        let mut c = Client::connect(&busy_addr).expect("connect");
+        c.set_timeout(Some(Duration::from_secs(60))).expect("timeout");
+        c.lift(&image, Some(BUSY_MS), false).expect("busy response")
+    });
+    wait_for(addr, "a worker to take the budget-bound lift", |m| {
+        server_counter(m, "admitted") == 1 && m.get("queue_depth").and_then(Json::as_u64) == Some(0)
+    });
+    busy
+}
+
+/// Poll the `metrics` op until `ready` holds.
+fn wait_for(addr: &str, what: &str, ready: impl Fn(&Json) -> bool) {
+    let mut c = Client::connect(addr).expect("connect");
+    let give_up = Instant::now() + Duration::from_secs(60);
+    loop {
+        let m = c.metrics().expect("metrics");
+        if ready(&m) {
+            return;
+        }
+        assert!(Instant::now() < give_up, "gave up waiting for {what}: {m:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+fn server_counter(metrics: &Json, key: &str) -> u64 {
+    metrics.get("server").and_then(|s| s.get(key)).and_then(Json::as_u64).unwrap_or(0)
 }
 
 #[test]
@@ -170,9 +221,9 @@ fn deadline_degrades_to_partial_not_error() {
 
 #[test]
 fn saturation_sheds_with_retry_hint() {
-    // One worker, a tiny queue, and a pile of simultaneous requests:
-    // the overflow must come back as `overloaded` with a usable hint,
-    // and everything admitted must still be answered.
+    // One busy worker, a tiny queue, and a pile of simultaneous
+    // requests: the overflow must come back as `overloaded` with a
+    // usable hint, and everything admitted must still be answered.
     let config = ServeConfig {
         workers: 1,
         queue_capacity: 2,
@@ -184,14 +235,18 @@ fn saturation_sheds_with_retry_hint() {
     // Distinct binaries so coalescing cannot absorb the flood.
     let images: Vec<Vec<u8>> =
         (0..12).map(|i| elf_image(&gen_study_binary(100 + i, false))).collect();
+    let barrier = Barrier::new(images.len());
     let answers: Vec<String> = std::thread::scope(|scope| {
+        let busy = occupy_worker(scope, &addr);
         let handles: Vec<_> = images
             .iter()
             .map(|image| {
                 let addr = addr.clone();
+                let barrier = &barrier;
                 scope.spawn(move || {
                     let mut c = Client::connect(&addr).expect("connect");
                     c.set_timeout(Some(Duration::from_secs(60))).expect("timeout");
+                    barrier.wait();
                     let resp = c.lift(image, None, false).expect("response");
                     let s = resp.get("status").and_then(Json::as_str).unwrap_or("?").to_string();
                     if s == "overloaded" {
@@ -204,7 +259,9 @@ fn saturation_sheds_with_retry_hint() {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+        let answers = handles.into_iter().map(|h| h.join().expect("client thread")).collect();
+        busy.join().expect("busy client");
+        answers
     });
 
     let ok = answers.iter().filter(|s| *s == "ok").count();
@@ -279,10 +336,12 @@ fn shutdown_drains_queued_requests_with_structured_answers() {
     let mut server = Server::bind("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr().to_string();
 
-    // Stack up slow work, then shut down mid-flight.
+    // Queue work behind a lift that is still running, then shut down
+    // mid-flight.
     let images: Vec<Vec<u8>> =
         (0..6).map(|i| elf_image(&gen_study_binary(200 + i, false))).collect();
     let answers: Vec<String> = std::thread::scope(|scope| {
+        let busy = occupy_worker(scope, &addr);
         let handles: Vec<_> = images
             .iter()
             .map(|image| {
@@ -295,9 +354,11 @@ fn shutdown_drains_queued_requests_with_structured_answers() {
                 })
             })
             .collect();
-        std::thread::sleep(Duration::from_millis(30));
+        wait_for(&addr, "the six lifts to queue", |m| server_counter(m, "admitted") == 7);
         server.shutdown();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+        let answers = handles.into_iter().map(|h| h.join().expect("client thread")).collect();
+        busy.join().expect("busy client");
+        answers
     });
     server.join();
 
