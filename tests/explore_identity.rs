@@ -13,7 +13,13 @@
 //!   units through `lift_all` at one and two workers, library units
 //!   through `lift_entry`;
 //! - one explosive unit (a chain of code-pointer diamonds) with the §4
-//!   code-pointer refinement on and off.
+//!   code-pointer refinement on and off;
+//! - every unit of the miniature study again with `widen_after` at 0
+//!   and 1, so Algorithm 1 widens at the first or second join that
+//!   changes a vertex (at the default of 8 no pinned lift is known to
+//!   widen). A step budget bounds these lifts: at 0, two of them never
+//!   reach a fixpoint, because a widened join drops the range clauses
+//!   that the covered check's plain join adds back.
 //!
 //! The wall-clock budget is off and the state budget is lowered, so
 //! every lift stops at the same state count on any machine. To
@@ -37,6 +43,12 @@ use std::collections::BTreeMap;
 
 /// Study seeds whose units are pinned.
 const SEEDS: [u64; 2] = [1, 2];
+
+/// `widen_after` values of the widening lifts.
+const WIDEN_AFTER: [u32; 2] = [0, 1];
+
+/// Per-function step budget of the widening lifts.
+const WIDEN_FUEL: u64 = 20_000;
 
 /// Diamonds in the explosive unit: 2^16 code-pointer combinations, far
 /// beyond the state budget, so the lift is budget-bound.
@@ -73,6 +85,17 @@ fn current_digests() -> BTreeMap<String, String> {
                         digest(&export_json(&result)),
                     );
                 }
+            }
+            for widen_after in WIDEN_AFTER {
+                let mut c = config();
+                c.limits.widen_after = widen_after;
+                c.budget.max_fuel = Some(WIDEN_FUEL);
+                let lifter = Lifter::new(&unit.binary).with_config(c);
+                let doc = match unit.kind {
+                    UnitKind::Binary => export_json(&lifter.workers(1).lift_all().result),
+                    UnitKind::LibraryFunction => export_json(&lifter.lift_entry(unit.entry)),
+                };
+                out.insert(format!("study{seed}/{}/widen_after{widen_after}", unit.name), digest(&doc));
             }
         }
     }
