@@ -44,10 +44,11 @@ fn bench_memmodel(c: &mut Criterion) {
         });
     }
 
-    // Join scaling.
+    // Join scaling. The sides differ by one tree, so the union-find
+    // runs: equal models take the join's equal-model fast path.
     for n in [4usize, 16, 64] {
         let a = stack_model(n);
-        let b2 = stack_model(n);
+        let b2 = stack_model(n + 1);
         group.bench_with_input(BenchmarkId::new("join", n), &n, |b, _| b.iter(|| a.join(&b2)));
     }
     group.finish();

@@ -357,33 +357,39 @@ impl FnExploration {
                 .find(|vid| Self::compatible(binary, &state, &self.graph.vertices[vid].state, refine)),
             "signature index disagrees with the compatible-vertex walk at {addr:#x}"
         );
-        let (vid, to_explore) = match target {
+        let (vid, state) = match target {
             Some(i) => {
                 let vid = at(i);
                 if let Some((src, instr)) = from {
                     self.graph.add_edge(src, vid, instr);
                 }
                 // Borrow, don't clone: the existing state is only read
-                // (leq + join) before the vertex is overwritten.
+                // before the vertex is overwritten.
                 let existing = &self.graph.vertices[&vid].state;
-                if state.leq(existing) {
+                let join_counts = &mut self.join_counts;
+                // One plain join decides line 4 (`state ⊑ existing` is
+                // `state ⊔ existing == existing`, as in `SymState::leq`)
+                // and is the new vertex state unless widening is due.
+                let joined = timed(cx.metrics, Phase::Join, || {
+                    let joined = state.join(existing, false);
+                    if joined == *existing {
+                        return None;
+                    }
+                    let joins = join_counts.entry(vid).or_insert(0);
+                    *joins += 1;
+                    Some(if *joins > limits.widen_after { state.join(existing, true) } else { joined })
+                });
+                let Some(joined) = joined else {
                     // Line 4: already covered.
-                    (vid, None)
-                } else {
-                    let widen = {
-                        let joins = self.join_counts.entry(vid).or_insert(0);
-                        *joins += 1;
-                        *joins > limits.widen_after
-                    };
-                    let joined = timed(cx.metrics, Phase::Join, || state.join(existing, widen));
-                    // The index must describe the stored state. Today's
-                    // join keeps the existing pairs (equal immediates
-                    // unify); re-signing keeps the index exact should a
-                    // join ever drop one.
-                    sigs[i] = Self::signature(binary, &joined, refine);
-                    self.graph.add_vertex(vid, joined.clone(), true);
-                    (vid, Some(joined))
-                }
+                    return;
+                };
+                // The index must describe the stored state. Today's
+                // join keeps the existing pairs (equal immediates
+                // unify); re-signing keeps the index exact should a
+                // join ever drop one.
+                sigs[i] = Self::signature(binary, &joined, refine);
+                self.graph.add_vertex(vid, joined.clone(), true);
+                (vid, joined)
             }
             None => {
                 let vid = at(sigs.len());
@@ -395,10 +401,9 @@ impl FnExploration {
                     // skip `add_edge`'s scan over every edge.
                     self.graph.edges.push(Edge { from: src, to: vid, instr });
                 }
-                (vid, Some(state))
+                (vid, state)
             }
         };
-        let Some(state) = to_explore else { return };
 
         // Vacuous states (contradictory path clauses) represent no
         // concrete states; exploring them wastes effort and can poison

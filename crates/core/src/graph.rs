@@ -120,7 +120,7 @@ impl HoareGraph {
         out
     }
 
-    /// Add (or fetch) a vertex, returning its id.
+    /// Store `state` at vertex `id`, replacing any state it held.
     pub fn add_vertex(&mut self, id: VertexId, state: SymState, reachable: bool) {
         self.vertices.insert(id, Vertex { state, reachable });
     }

@@ -298,7 +298,50 @@ impl MemModel {
     /// only one side are dropped (slightly coarser than the paper's
     /// definition, which keeps them; dropping is sound since a model
     /// with fewer regions asserts strictly less).
+    ///
+    /// Fast path: when the two forests are equal and *canonical*, the
+    /// join is `other` itself, for one comparison and a shape check
+    /// instead of the union-find. Canonical means every level is sorted
+    /// and deduplicated as `canon` leaves it, no node is empty, and no
+    /// region occurs twice in the model. Each class of the union-find
+    /// is then one tree and its equal twin, so the union-find would
+    /// rebuild the forest unchanged; debug builds assert that it does.
+    /// Any other shape (an unsorted level, a region in two trees, an
+    /// empty node) takes the union-find, which may regroup it. Every
+    /// model `insert`, `remove_region` and `join` return is canonical
+    /// when their inputs are.
     pub fn join(&self, other: &MemModel) -> MemModel {
+        if self.join_is_other(other) {
+            return other.clone();
+        }
+        self.join_classes(other)
+    }
+
+    /// True when [`MemModel::join`] takes the equal-model fast path,
+    /// i.e. `self ⊔ other` is `other`.
+    pub(crate) fn join_is_other(&self, other: &MemModel) -> bool {
+        let fast = (std::ptr::eq(self, other) || self == other) && other.is_canonical();
+        debug_assert!(
+            !fast || self.join_classes(other) == *other,
+            "equal-model join fast path disagrees with the union-find on {other}"
+        );
+        fast
+    }
+
+    /// The shape condition of the fast path in [`MemModel::join`].
+    fn is_canonical(&self) -> bool {
+        fn levels_canonical(m: &MemModel) -> bool {
+            m.trees.windows(2).all(|w| w[0] < w[1])
+                && m.trees.iter().all(|t| !t.regions.is_empty() && levels_canonical(&t.children))
+        }
+        let mut regions = self.all_regions();
+        regions.sort_unstable();
+        levels_canonical(self) && regions.windows(2).all(|w| w[0] != w[1])
+    }
+
+    /// The union-find join of Definition 3.12: [`MemModel::join`]
+    /// without the equal-model fast path.
+    pub(crate) fn join_classes(&self, other: &MemModel) -> MemModel {
         if self.trees.is_empty() || other.trees.is_empty() {
             // One-sided classes are dropped, so a join with the empty
             // model is empty — skip the union-find entirely.

@@ -13,7 +13,12 @@
 //! of wall time: `tau` (symbolic stepping) *contains* the `solver`
 //! time spent deciding region relations during memory-model insertion,
 //! and the sum of phase times is less than total wall time (worklist
-//! bookkeeping, joins against the bag, scheduling). A
+//! bookkeeping, the compatible-vertex lookup, scheduling). `join`
+//! includes Algorithm 1's covered check (line 4): a state that reaches
+//! a compatible vertex is joined once, and the join is compared with
+//! the vertex's state. So its count is every compatible visit plus
+//! every join into the exit vertex, whether or not the join changed a
+//! vertex. A
 //! [`MetricsSnapshot`] freezes the counters; `hgl-export` serialises
 //! it as the `hgl-metrics-v1` document behind `hgl lift --metrics`.
 
@@ -31,7 +36,9 @@ pub enum Phase {
     Decode,
     /// The symbolic step function `τ` (includes nested solver time).
     Tau,
-    /// State joins at graph vertices.
+    /// State joins at graph vertices, including the covered check: one
+    /// count per compatible visit (whether or not the join changed the
+    /// vertex) and per join into the exit vertex.
     Join,
     /// Solver-context construction and region-relation queries.
     Solver,

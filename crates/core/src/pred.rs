@@ -531,12 +531,16 @@ impl SymState {
         SymState { pred, model: Shared::new(model) }
     }
 
-    /// The join `σ₀ ⊔ σ₁` (Definition 3.15).
+    /// The join `σ₀ ⊔ σ₁` (Definition 3.15). When the memory-model join
+    /// takes its equal-model fast path, the result shares `other`'s
+    /// forest handle instead of a copy.
     pub fn join(&self, other: &SymState, widen: bool) -> SymState {
-        SymState {
-            pred: self.pred.join(&other.pred, widen),
-            model: Shared::new(self.model.join(&other.model)),
-        }
+        let model = if self.model.join_is_other(&other.model) {
+            other.model.clone()
+        } else {
+            Shared::new(self.model.join_classes(&other.model))
+        };
+        SymState { pred: self.pred.join(&other.pred, widen), model }
     }
 
     /// `self ⊑ other`: other is at least as abstract (defined as

@@ -2,14 +2,20 @@
 //! information, never invents it. Concretely: any machine state
 //! satisfying `P` (or `Q`) also satisfies `P ⊔ Q` — the soundness
 //! criterion `s ⊢ P ∨ Q ⟹ s ⊢ P ⊔ Q` stated in §3 and Lemma 3.14.
+//!
+//! The memory-model join's equal-model fast path is checked against
+//! [`reference_join`], Definition 3.12 written out independently: on
+//! models that `insert`, `remove_region` and `join` build it must
+//! return the model unchanged, and on hand-built non-canonical forests
+//! it must give the full join's result.
 
 use hgl_core::memmodel::{MemModel, MemTree};
 use hgl_core::pred::{Pred, SymState};
 use hgl_expr::{Clause, Expr, Rel, Sym};
-use hgl_solver::Region;
+use hgl_solver::{Ctx, Region};
 use hgl_x86::Reg;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A concrete environment for the symbols we use.
 fn env_of(vals: &BTreeMap<Sym, u64>) -> impl Fn(Sym) -> u64 + '_ {
@@ -37,6 +43,87 @@ fn arb_sym() -> impl Strategy<Value = Sym> {
 fn arb_clause() -> impl Strategy<Value = Clause> {
     (arb_sym(), 0u64..64, prop_oneof![Just(Rel::Eq), Just(Rel::Lt), Just(Rel::Ge), Just(Rel::Ne)])
         .prop_map(|(s, v, rel)| Clause::new(Expr::sym(s), rel, Expr::imm(v)))
+}
+
+/// Definition 3.12 as `MemModel::join` implements it, without the
+/// library's code: the trees of both sides are grouped by the
+/// transitive closure of sharing a top-level region; a group with trees
+/// from both sides becomes one tree whose node is the intersection of
+/// the group's nodes and whose children are the join of their
+/// sub-forests (folded in side order); one-sided groups and empty
+/// nodes are dropped; every level is sorted and deduplicated.
+fn reference_join(a: &MemModel, b: &MemModel) -> MemModel {
+    let all: Vec<(&MemTree, bool)> =
+        a.trees.iter().map(|t| (t, false)).chain(b.trees.iter().map(|t| (t, true))).collect();
+    let mut group: Vec<usize> = (0..all.len()).collect();
+    for i in 0..all.len() {
+        for j in i + 1..all.len() {
+            if group[i] != group[j] && !all[i].0.regions.is_disjoint(&all[j].0.regions) {
+                let (from, to) = (group[j], group[i]);
+                group.iter_mut().filter(|g| **g == from).for_each(|g| *g = to);
+            }
+        }
+    }
+    let mut trees = Vec::new();
+    for g in group.iter().copied().collect::<BTreeSet<usize>>() {
+        let members: Vec<(&MemTree, bool)> =
+            all.iter().zip(&group).filter(|(_, gi)| **gi == g).map(|(m, _)| *m).collect();
+        if !(members.iter().any(|m| !m.1) && members.iter().any(|m| m.1)) {
+            continue;
+        }
+        let regions = members.iter().map(|m| m.0.regions.clone()).reduce(|x, y| &x & &y).unwrap_or_default();
+        let children = members
+            .iter()
+            .map(|m| m.0.children.clone())
+            .reduce(|x, y| reference_join(&x, &y))
+            .unwrap_or_default();
+        if !regions.is_empty() {
+            trees.push(MemTree { regions, children });
+        }
+    }
+    trees.sort();
+    trees.dedup();
+    MemModel { trees }
+}
+
+/// Region `i` of a small pool: stack slots whose relations the solver
+/// decides, and pointer-based regions whose relations it cannot, so
+/// insertion forks (alias, separate, enclosed, destroy) and the models
+/// get multi-region nodes, nesting and several trees per level.
+fn pool_region(i: usize) -> Region {
+    let at = |r: Reg, off: u64, size: u64| Region::new(Expr::sym(Sym::Init(r)).add(Expr::imm(off)), size);
+    match i % 8 {
+        0 => Region::stack(-8, 8),
+        1 => Region::stack(-16, 8),
+        2 => Region::stack(-16, 4),
+        3 => at(Reg::Rdi, 0, 8),
+        4 => at(Reg::Rdi, 4, 4),
+        5 => at(Reg::Rsi, 0, 8),
+        6 => at(Reg::Rsi, 0, 16),
+        _ => at(Reg::Rdx, 8, 8),
+    }
+}
+
+/// Every model of a random `insert` / `remove_region` / `join` run
+/// from the empty model. Op `(kind, arg, pick)`: kinds 0–1 insert
+/// region `arg` and keep branch `pick`, kind 2 removes region `arg`,
+/// kind 3 joins with model `arg` of the run so far.
+fn build_models(ops: &[(u8, usize, usize)]) -> Vec<MemModel> {
+    let ctx = Ctx::new();
+    let mut models = vec![MemModel::empty()];
+    for &(kind, arg, pick) in ops {
+        let m = models.last().expect("run starts with the empty model");
+        let next = match kind {
+            0 | 1 => {
+                let mut branches = m.insert(&ctx, pool_region(arg), 64);
+                branches.swap_remove(pick % branches.len()).model
+            }
+            2 => m.remove_region(&pool_region(arg)),
+            _ => m.join(&models[arg % models.len()]),
+        };
+        models.push(next);
+    }
+    models
 }
 
 proptest! {
@@ -126,6 +213,27 @@ proptest! {
         }
     }
 
+    /// Models that the library builds are canonical, so joining one
+    /// with itself (by value or by reference) takes the equal-model
+    /// fast path and returns it unchanged, which is also the full
+    /// join's result. Joins of different models match the reference.
+    #[test]
+    fn built_models_join_to_themselves(
+        ops in proptest::collection::vec((0u8..4, 0usize..16, 0usize..8), 1..12),
+    ) {
+        let models = build_models(&ops);
+        for m in &models {
+            prop_assert_eq!(&m.join(&m.clone()), m);
+            prop_assert_eq!(&m.join(m), m);
+            prop_assert_eq!(&reference_join(m, m), m, "fast path result is the full join's");
+        }
+        for a in &models {
+            for b in &models {
+                prop_assert_eq!(a.join(b), reference_join(a, b));
+            }
+        }
+    }
+
     /// `leq` is a partial order compatible with join: σ ⊑ σ⊔τ and
     /// τ ⊑ σ⊔τ … up to the unifier's greedy renaming.
     #[test]
@@ -183,6 +291,42 @@ proptest! {
         prop_assert!(ra.is_bottom() || rb.is_bottom() || ra != rb,
             "join invented sharing: rax={ra} rbx={rb}");
     }
+}
+
+/// Forests that are equal but not canonical must not take the
+/// equal-model fast path: the full join regroups them, and `join`
+/// must give that result.
+#[test]
+fn non_canonical_forests_take_the_full_join() {
+    let (a, b, c) = (Region::stack(-8, 8), Region::stack(-16, 8), Region::stack(-24, 8));
+    let node = |rs: &[Region], children: Vec<MemTree>| MemTree {
+        regions: rs.iter().copied().collect(),
+        children: MemModel { trees: children },
+    };
+    let mut descending = vec![MemTree::leaf(a), MemTree::leaf(b), MemTree::leaf(c)];
+    descending.sort();
+    descending.reverse();
+    let unsorted = MemModel { trees: descending };
+    let region_in_two_trees = MemModel { trees: vec![node(&[a, b], vec![]), node(&[b, c], vec![])] };
+    let empty_node = MemModel { trees: vec![node(&[], vec![MemTree::leaf(a)]), MemTree::leaf(b)] };
+    let unsorted_children = MemModel { trees: vec![node(&[a], unsorted.trees.clone())] };
+    for m in [unsorted, region_in_two_trees, empty_node, unsorted_children] {
+        let full = reference_join(&m, &m);
+        assert_ne!(full, m, "the full join regroups {m}");
+        assert_eq!(m.join(&m.clone()), full, "join of {m} with an equal copy");
+        assert_eq!(m.join(&m), full, "join of {m} with itself");
+    }
+}
+
+/// When the memory models are equal and canonical, the state join
+/// keeps `other`'s forest handle instead of copying it.
+#[test]
+fn state_join_shares_an_equal_model() {
+    let s = SymState::function_entry(0x1000);
+    let copy = s.clone();
+    let j = copy.join(&s, false);
+    assert!(std::ptr::eq(&*j.model, &*s.model), "joined state shares the existing forest");
+    assert_eq!(j, s);
 }
 
 /// `join` of the reg map respects the documented name-stability: the
