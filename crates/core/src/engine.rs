@@ -4,7 +4,7 @@
 //! A [`Lifter`] is one lifting *session* over one binary: it owns the
 //! shared solver-query memo table ([`QueryCache`]) and the phase-level
 //! [`Metrics`] sink. One engine lifts a set of root entries and their
-//! call-target closure on a work-stealing worker pool; the session
+//! call-target closure on a worker pool ([`parallel_map`]); the session
 //! seeds it two ways —
 //!
 //! - [`Lifter::lift_entry`]: one root (the "Binaries" / "Library
@@ -460,8 +460,9 @@ impl<'b> Lifter<'b> {
         result
     }
 
-    /// Runs every function in `runnable` to quiescence on the worker
-    /// pool, with per-function panic isolation.
+    /// Runs every function in `runnable` to quiescence on
+    /// [`parallel_map`]'s worker pool, with per-function panic
+    /// isolation.
     fn run_round(
         &self,
         slots: &mut BTreeMap<u64, FnSlot>,
@@ -480,65 +481,19 @@ impl<'b> Lifter<'b> {
             cache: Some(&self.cache),
             metrics: Some(&self.metrics),
         };
-        let run_one = |s: &mut FnSlot| {
-            let ran = catch_unwind(AssertUnwindSafe(|| {
-                s.e.run(&cx);
-            }));
-            if let Err(payload) = ran {
+        let items: Vec<(u64, FnSlot)> = runnable
+            .iter()
+            .map(|&a| (a, slots.remove(&a).expect("runnable slot exists")))
+            .collect();
+        let ran = parallel_map(workers, items, |(a, mut s)| {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| s.e.run(&cx))) {
                 s.e.bag.clear();
                 s.e.pending.clear();
                 s.internal_error = Some(panic_message(payload));
             }
-        };
-        let pool = workers.min(runnable.len());
-        if pool <= 1 {
-            for addr in runnable {
-                run_one(slots.get_mut(addr).expect("runnable slot exists"));
-            }
-            return;
-        }
-        // Move the runnable slots into shared cells; a work-stealing
-        // deque per worker hands out indices (owner pops the front,
-        // thieves the back).
-        let cells: Vec<Mutex<Option<FnSlot>>> = runnable
-            .iter()
-            .map(|a| Mutex::new(Some(slots.remove(a).expect("runnable slot exists"))))
-            .collect();
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..pool).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, _) in runnable.iter().enumerate() {
-            queues[i % pool].lock().expect("queue lock").push_back(i);
-        }
-        let next = |me: usize| -> Option<usize> {
-            if let Some(i) = queues[me].lock().expect("queue lock").pop_front() {
-                return Some(i);
-            }
-            for k in 1..pool {
-                if let Some(i) = queues[(me + k) % pool].lock().expect("queue lock").pop_back() {
-                    return Some(i);
-                }
-            }
-            None
-        };
-        std::thread::scope(|scope| {
-            for me in 0..pool {
-                let cells = &cells;
-                let next = &next;
-                let run_one = &run_one;
-                scope.spawn(move || {
-                    while let Some(i) = next(me) {
-                        let mut cell = cells[i].lock().expect("cell lock");
-                        if let Some(s) = cell.as_mut() {
-                            run_one(s);
-                        }
-                    }
-                });
-            }
+            (a, s)
         });
-        for (i, addr) in runnable.iter().enumerate() {
-            let s = cells[i].lock().expect("cell lock").take().expect("slot returned");
-            slots.insert(*addr, s);
-        }
+        slots.extend(ran);
     }
 
     /// Lift the function at `entry`, then run the analyze→re-lift

@@ -330,8 +330,9 @@ impl LiftResult {
     }
 }
 
-/// Renders a `catch_unwind` payload for a `RejectReason::Internal`.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a `catch_unwind` payload as text: the message of a string
+/// panic, or a fixed placeholder for any other payload.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -10,7 +10,7 @@
 //! Table 1.
 
 use crate::gen::{GenOptions, ProgramGen};
-use hgl_core::lift::{LiftConfig, LiftResult, RejectReason};
+use hgl_core::lift::{panic_message, LiftConfig, LiftResult, RejectReason};
 use hgl_core::Lifter;
 use hgl_elf::Binary;
 use rand::rngs::SmallRng;
@@ -388,33 +388,11 @@ fn internal_result(u: &CorpusUnit, message: String, time: Duration) -> UnitResul
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Run the lifter over every unit of a study. A panic while processing
-/// one unit is isolated into an `Outcome::Internal` tally for that unit.
+/// Run the lifter over every unit of a study, one after another. A
+/// panic while processing one unit is isolated into an
+/// `Outcome::Internal` tally for that unit.
 pub fn run_study(study: &XenStudy, config: &LiftConfig) -> Vec<UnitResult> {
-    study
-        .units
-        .iter()
-        .map(|u| {
-            let start = Instant::now();
-            match catch_unwind(AssertUnwindSafe(|| {
-                let result = lift_unit(u, config);
-                measure(u, &result, start.elapsed())
-            })) {
-                Ok(r) => r,
-                Err(payload) => internal_result(u, panic_message(payload), start.elapsed()),
-            }
-        })
-        .collect()
+    run_study_parallel_with(study, config, 1, lift_unit)
 }
 
 /// Run the lifter over every unit of a study, in parallel across

@@ -17,7 +17,11 @@
 use hgl_analysis::{analyze, AnalysisConfig};
 use hgl_asm::Asm;
 use hgl_core::Lifter;
-use hgl_export::{export_dot, export_json, export_lint_json, export_theory};
+use hgl_export::json::Json;
+use hgl_export::{
+    export_dot, export_json, export_lint_json, export_metrics_json, export_theory, ENVELOPE_VERSION,
+    LIFT_SCHEMA, LINT_SCHEMA, METRICS_SCHEMA,
+};
 use hgl_x86::{Cond, Instr, MemOperand, Mnemonic, Operand, Reg, Width};
 use std::path::PathBuf;
 
@@ -197,4 +201,27 @@ fn dot_export_matches_golden() {
     let lifted = Lifter::new(&bin).lift_entry(bin.entry);
     let dot = export_dot(&lifted, bin.entry).expect("entry function exists");
     assert_golden("fixed.dot", &dot);
+}
+
+/// Every golden JSON document, and a metrics document of the fixed
+/// binary's lift, parses as JSON and opens with its envelope.
+#[test]
+fn json_documents_parse() {
+    let envelope = |text: &str, schema: &str| {
+        let doc = Json::parse(text).unwrap_or_else(|e| panic!("{schema} document: {e}"));
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(schema));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(ENVELOPE_VERSION));
+    };
+    for (name, schema) in [
+        ("fixed.json", LIFT_SCHEMA),
+        ("fixed_lint.json", LINT_SCHEMA),
+        ("lint.json", LINT_SCHEMA),
+        ("vsa_lint.json", LINT_SCHEMA),
+    ] {
+        let text = std::fs::read_to_string(golden_dir().join(name)).expect("read golden");
+        envelope(&text, schema);
+    }
+    let bin = fixed_binary();
+    let report = Lifter::new(&bin).lift_all();
+    envelope(&export_metrics_json(&report.metrics), METRICS_SCHEMA);
 }

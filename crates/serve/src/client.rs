@@ -4,9 +4,9 @@
 //! harness and the test suites; real integrations can speak the JSONL
 //! protocol directly from any language.
 
-use crate::json::Json;
-use crate::proto::hex_encode;
-use std::io::{self, BufRead, BufReader, Write};
+use crate::proto::{hex_encode, write_frame};
+use crate::Json;
+use std::io::{self, BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -32,9 +32,7 @@ impl Client {
 
     /// Send one raw line (no trailing newline needed).
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        write_frame(&mut self.writer, line)
     }
 
     /// Receive one response line, parsed.

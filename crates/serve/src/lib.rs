@@ -36,11 +36,10 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod json;
 pub mod proto;
 pub mod server;
 
 pub use client::Client;
-pub use json::Json;
+pub use hgl_export::json::Json;
 pub use proto::{hex_decode, hex_encode, parse_request, Op, Request};
 pub use server::{ServeConfig, Server};
