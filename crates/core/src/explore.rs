@@ -165,12 +165,6 @@ pub struct ExploreLimits {
     /// Keep states with differing immediate code pointers apart
     /// (the §4 second extension).
     pub code_pointer_refinement: bool,
-    /// Test-only fault injection: explore `jcc` fall-through successors
-    /// normally but *record no edge* for them, producing a graph that
-    /// under-approximates control flow. Exists solely so the trace
-    /// oracle can prove it catches a lifter dropping an edge; must stay
-    /// `false` everywhere else.
-    pub inject_drop_jcc_fallthrough: bool,
 }
 
 impl Default for ExploreLimits {
@@ -179,7 +173,6 @@ impl Default for ExploreLimits {
             max_states: 20_000,
             widen_after: 8,
             code_pointer_refinement: true,
-            inject_drop_jcc_fallthrough: false,
         }
     }
 }
@@ -473,13 +466,7 @@ impl FnExploration {
         for succ in successors.into_iter().rev() {
             match succ {
                 Successor::At(a, s) => {
-                    // Fault injection (test-only): drop the edge for a
-                    // jcc fall-through while still exploring the state.
-                    let dropped = limits.inject_drop_jcc_fallthrough
-                        && matches!(instr.mnemonic, hgl_x86::Mnemonic::Jcc(_))
-                        && a == instr.next_addr();
-                    let from = if dropped { None } else { Some((vid, instr.clone())) };
-                    self.bag.push(BagItem { addr: a, state: s, from });
+                    self.bag.push(BagItem { addr: a, state: s, from: Some((vid, instr.clone())) });
                 }
                 Successor::Return(s) => {
                     // All return paths share the Exit vertex: join.

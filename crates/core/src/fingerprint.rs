@@ -23,7 +23,10 @@
 //! content-addressed key; the session solver cache binds
 //! [`Fingerprint::digest64`] and flushes when it changes.
 
+use crate::budget::Budget;
+use crate::explore::ExploreLimits;
 use crate::lift::LiftConfig;
+use crate::tau::StepConfig;
 
 /// Version of the per-function artifact schema (the semantic content
 /// of a lift: graph, diagnostics, claims). Bump when the *meaning* of
@@ -41,29 +44,36 @@ pub struct Fingerprint {
 
 impl Fingerprint {
     /// Fingerprint `config` under the current build.
+    ///
+    /// Every configuration struct is destructured without `..`, so a
+    /// field added later does not compile until it is hashed here.
     pub fn of(config: &LiftConfig) -> Fingerprint {
+        let LiftConfig { budget, step, limits } = config;
+        let Budget { wall_clock, max_fuel, max_solver_queries, max_forks } = budget;
+        let StepConfig { max_models_per_step, max_jump_table, max_expr_nodes, indirect_hints } = step;
+        let ExploreLimits { max_states, widen_after, code_pointer_refinement } = limits;
         let mut bytes = Vec::with_capacity(128);
         bytes.extend_from_slice(b"hgl-fingerprint");
-        push_u32(&mut bytes, 1); // fingerprint encoding version
+        push_u32(&mut bytes, 2); // fingerprint encoding version
         push_u32(&mut bytes, ARTIFACT_SCHEMA_VERSION);
         push_str(&mut bytes, env!("CARGO_PKG_VERSION")); // hgl-core
         push_str(&mut bytes, hgl_solver::VERSION);
         push_str(&mut bytes, hgl_expr::VERSION);
         push_str(&mut bytes, hgl_x86::VERSION);
         // Budget.
-        push_opt_u64(&mut bytes, config.budget.wall_clock.map(|d| d.as_nanos() as u64));
-        push_opt_u64(&mut bytes, config.budget.max_fuel);
-        push_opt_u64(&mut bytes, config.budget.max_solver_queries);
-        push_opt_u64(&mut bytes, config.budget.max_forks);
+        push_opt_u64(&mut bytes, wall_clock.map(|d| d.as_nanos() as u64));
+        push_opt_u64(&mut bytes, *max_fuel);
+        push_opt_u64(&mut bytes, *max_solver_queries);
+        push_opt_u64(&mut bytes, *max_forks);
         // Stepping tunables.
-        push_u64(&mut bytes, config.step.max_models_per_step as u64);
-        push_u64(&mut bytes, config.step.max_jump_table);
-        push_u64(&mut bytes, config.step.max_expr_nodes as u64);
+        push_u64(&mut bytes, *max_models_per_step as u64);
+        push_u64(&mut bytes, *max_jump_table);
+        push_u64(&mut bytes, *max_expr_nodes as u64);
         // Resolved-indirection hints: count, then every (jump, target)
         // pair in sorted order — a refinement round with different
         // hints is a different artifact.
-        push_u64(&mut bytes, config.step.indirect_hints.len() as u64);
-        for (addr, targets) in &config.step.indirect_hints {
+        push_u64(&mut bytes, indirect_hints.len() as u64);
+        for (addr, targets) in indirect_hints {
             push_u64(&mut bytes, *addr);
             push_u64(&mut bytes, targets.len() as u64);
             for t in targets {
@@ -71,10 +81,9 @@ impl Fingerprint {
             }
         }
         // Exploration limits.
-        push_u64(&mut bytes, config.limits.max_states as u64);
-        push_u32(&mut bytes, config.limits.widen_after);
-        bytes.push(config.limits.code_pointer_refinement as u8);
-        bytes.push(config.limits.inject_drop_jcc_fallthrough as u8);
+        push_u64(&mut bytes, *max_states as u64);
+        push_u32(&mut bytes, *widen_after);
+        bytes.push(*code_pointer_refinement as u8);
         let digest = fnv1a(&bytes);
         Fingerprint { bytes, digest }
     }
@@ -132,9 +141,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::Budget;
-    use crate::explore::ExploreLimits;
-    use crate::tau::StepConfig;
     use std::time::Duration;
 
     #[test]
@@ -191,13 +197,6 @@ mod tests {
                 "limits.code_pointer_refinement",
                 LiftConfig::default().limits(ExploreLimits {
                     code_pointer_refinement: false,
-                    ..ExploreLimits::default()
-                }),
-            ),
-            (
-                "limits.inject_drop_jcc_fallthrough",
-                LiftConfig::default().limits(ExploreLimits {
-                    inject_drop_jcc_fallthrough: true,
                     ..ExploreLimits::default()
                 }),
             ),
