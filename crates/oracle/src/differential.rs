@@ -26,16 +26,16 @@
 //! fire only on actual return-address corruption, never on the
 //! campaign's well-behaved programs.
 
-use crate::campaign::{entry_state, synth_program, SynthProgram};
+use crate::campaign::{entry_state, synth_program};
+use crate::shrink::{shrink, ShrinkResult};
 use crate::trace::{EntryState, SENTINEL};
-use hgl_asm::Asm;
 use hgl_core::tau::TERMINATING_EXTERNALS;
-use hgl_core::Lifter;
+use hgl_core::{LiftResult, Lifter};
 use hgl_elf::Binary;
 use hgl_emu::{Event, Machine};
-use hgl_rewrite::{rewrite, RewriteOutput, RewritePass, ShadowStackPass};
+use hgl_rewrite::{rewrite, RewriteError, RewriteOutput, RewritePass, ShadowStackPass};
 use hgl_x86::{decode, Mnemonic, Reg, RegRef};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// All sixteen GPRs, for final-state comparison.
@@ -288,10 +288,8 @@ pub struct DiffDivergence {
     pub entry: usize,
     /// What differed.
     pub detail: String,
-    /// Minimal reproducing program listing, if shrinking succeeded.
-    pub shrunk_listing: Option<String>,
-    /// Instructions in the shrunk reproducer.
-    pub shrunk_instructions: usize,
+    /// The minimal reproducer, if the divergence was shrunk.
+    pub shrunk: Option<ShrinkResult>,
 }
 
 impl fmt::Display for DiffDivergence {
@@ -302,11 +300,8 @@ impl fmt::Display for DiffDivergence {
             "replay: master_seed={:#x} program={} entry={}",
             self.master_seed, self.program, self.entry
         )?;
-        match &self.shrunk_listing {
-            Some(l) => {
-                writeln!(f, "shrunk to {} instructions:", self.shrunk_instructions)?;
-                write!(f, "{l}")
-            }
+        match &self.shrunk {
+            Some(s) => write!(f, "{s}"),
             None => writeln!(f, "(not shrunk)"),
         }
     }
@@ -356,69 +351,19 @@ impl fmt::Display for DiffReport {
     }
 }
 
-/// Lift, rewrite and differentially run one program; `None` means all
-/// its entry states are equivalent. Used by both the campaign and the
-/// shrinker's reproduction predicate.
-fn diverges(
-    asm: &Asm,
-    removed: &BTreeSet<usize>,
-    es: &EntryState,
-    max_steps: usize,
-    guarded: bool,
-) -> Option<String> {
-    let candidate = asm.without_text_items(removed);
-    let bin = candidate.assemble().ok()?;
-    let lifted = Lifter::new(&bin).lift_entry(bin.entry);
+/// Lift and rewrite one program as the campaign does: `None` when the
+/// lifter rejects the binary or any function (the campaign skips it),
+/// otherwise the lift and the rewriter's answer. Used by both the
+/// campaign and the shrinker's reproduction predicate.
+fn lift_and_rewrite(bin: &Binary, guarded: bool) -> Option<(LiftResult, Result<RewriteOutput, RewriteError>)> {
+    let lifted = Lifter::new(bin).lift_entry(bin.entry);
     if lifted.binary_reject.is_some() || lifted.functions.values().any(|f| f.reject.is_some()) {
         return None;
     }
     let shadow = ShadowStackPass;
     let passes: Vec<&dyn RewritePass> = if guarded { vec![&shadow] } else { Vec::new() };
-    let out = rewrite(&bin, &lifted, &passes).ok()?;
-    let orig = run_raw(&bin, es, None, max_steps);
-    let rw = run_raw(&out.binary, es, Some(&out), max_steps);
-    compare_runs(&orig, &rw, guarded)
-}
-
-/// Shrink a diverging program: drop generator segment spans, then
-/// individual instructions, keeping a removal only while *some*
-/// divergence still reproduces on the same entry state.
-fn shrink_divergence(
-    prog: &SynthProgram,
-    es: &EntryState,
-    max_steps: usize,
-    guarded: bool,
-) -> (Option<String>, usize) {
-    let asm = &prog.asm;
-    let mut removed: BTreeSet<usize> = BTreeSet::new();
-    let mut ordered = prog.spans.clone();
-    ordered.sort_by_key(|(s, e)| std::cmp::Reverse(e - s));
-    for (s, e) in ordered {
-        let trial: BTreeSet<usize> = removed.iter().copied().chain(s..e).collect();
-        if trial.len() > removed.len() && diverges(asm, &trial, es, max_steps, guarded).is_some() {
-            removed = trial;
-        }
-    }
-    loop {
-        let mut progressed = false;
-        for idx in 0..asm.text_len() {
-            if removed.contains(&idx) || !asm.is_instruction(idx) {
-                continue;
-            }
-            let mut trial = removed.clone();
-            trial.insert(idx);
-            if diverges(asm, &trial, es, max_steps, guarded).is_some() {
-                removed = trial;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    let shrunk = asm.without_text_items(&removed);
-    let instructions = (0..shrunk.text_len()).filter(|&i| shrunk.is_instruction(i)).count();
-    (Some(shrunk.listing()), instructions)
+    let out = rewrite(bin, &lifted, &passes);
+    Some((lifted, out))
 }
 
 /// Run a full differential campaign: synthesize programs, lift,
@@ -436,23 +381,19 @@ pub fn run_differential(cfg: &DiffConfig) -> DiffReport {
         relifts_ok: 0,
         divergence: None,
     };
-    let shadow = ShadowStackPass;
     'programs: for p in 0..cfg.programs {
         let prog = synth_program(cfg.master_seed, p);
         let Ok(bin) = prog.asm.assemble() else {
             report.programs_skipped += 1;
             continue;
         };
-        let lifted = Lifter::new(&bin).lift_entry(bin.entry);
-        if lifted.binary_reject.is_some() || lifted.functions.values().any(|f| f.reject.is_some())
-        {
+        let Some((lifted, out)) = lift_and_rewrite(&bin, cfg.guarded) else {
             report.programs_skipped += 1;
             continue;
-        }
-        let passes: Vec<&dyn RewritePass> = if cfg.guarded { vec![&shadow] } else { Vec::new() };
-        let out = match rewrite(&bin, &lifted, &passes) {
+        };
+        let out = match out {
             Ok(o) => o,
-            Err(hgl_rewrite::RewriteError::UnsafeStealSite { .. }) => {
+            Err(RewriteError::UnsafeStealSite { .. }) => {
                 report.rewrite_refused += 1;
                 continue;
             }
@@ -464,8 +405,7 @@ pub fn run_differential(cfg: &DiffConfig) -> DiffReport {
                     program: p,
                     entry: 0,
                     detail: format!("rewrite failed on a lifted program: {e}"),
-                    shrunk_listing: None,
-                    shrunk_instructions: 0,
+                    shrunk: None,
                 });
                 break 'programs;
             }
@@ -482,8 +422,7 @@ pub fn run_differential(cfg: &DiffConfig) -> DiffReport {
                         program: p,
                         entry: 0,
                         detail: format!("re-emitted ELF does not parse: {e:?}"),
-                        shrunk_listing: None,
-                        shrunk_instructions: 0,
+                        shrunk: None,
                     });
                     break 'programs;
                 }
@@ -498,8 +437,7 @@ pub fn run_differential(cfg: &DiffConfig) -> DiffReport {
                         "re-lift graph mismatch: {:?}",
                         verdict.report.details
                     ),
-                    shrunk_listing: None,
-                    shrunk_instructions: 0,
+                    shrunk: None,
                 });
                 break 'programs;
             }
@@ -512,15 +450,21 @@ pub fn run_differential(cfg: &DiffConfig) -> DiffReport {
             report.traces_run += 1;
             report.steps_total += orig.raw_steps + rw.raw_steps;
             if let Some(detail) = compare_runs(&orig, &rw, cfg.guarded) {
-                let (listing, instructions) =
-                    shrink_divergence(&prog, &es, cfg.max_steps, cfg.guarded);
+                // Keep a removal while *some* divergence still
+                // reproduces on the same entry state.
+                let shrunk = shrink(&prog.asm, &prog.spans, |candidate| {
+                    let Ok(bin) = candidate.assemble() else { return false };
+                    let Some((_, Ok(out))) = lift_and_rewrite(&bin, cfg.guarded) else { return false };
+                    let orig = run_raw(&bin, &es, None, cfg.max_steps);
+                    let rw = run_raw(&out.binary, &es, Some(&out), cfg.max_steps);
+                    compare_runs(&orig, &rw, cfg.guarded).is_some()
+                });
                 report.divergence = Some(DiffDivergence {
                     master_seed: cfg.master_seed,
                     program: p,
                     entry: k,
                     detail,
-                    shrunk_listing: listing,
-                    shrunk_instructions: instructions,
+                    shrunk: Some(shrunk),
                 });
                 break 'programs;
             }

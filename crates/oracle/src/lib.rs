@@ -34,8 +34,8 @@ pub mod shrink;
 pub mod trace;
 
 pub use campaign::{
-    entry_state, run_campaign, synth_program, CampaignConfig, CampaignFailure, CampaignReport,
-    SynthProgram,
+    entry_state, lift_program, run_campaign, synth_program, CampaignConfig, CampaignFailure,
+    CampaignReport, ProgramLift, SynthProgram,
 };
 pub use coverage::{Coverage, CoverageFloor, EdgeKind};
 pub use differential::{
