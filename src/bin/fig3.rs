@@ -10,6 +10,8 @@
 //! statistics the paper discusses (largest function, longest
 //! verification, Pearson correlation).
 
+#![forbid(unsafe_code)]
+
 use hgl_corpus::xen::{build_study, run_study, study_config, Outcome, StudySpec, UnitKind};
 // (fig3 runs sequentially: per-unit wall-clock times are the measurement)
 

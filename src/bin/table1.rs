@@ -10,6 +10,8 @@
 //! indirections (A), unresolved jumps (B), unresolved calls (C), and
 //! wall-clock time.
 
+#![forbid(unsafe_code)]
+
 use hgl_corpus::xen::{build_study, run_study_parallel, study_config, Outcome, StudySpec, UnitKind, UnitResult};
 use std::collections::BTreeMap;
 use std::time::Duration;

@@ -10,6 +10,8 @@
 //! edge on randomized concrete states ("without exception, all Hoare
 //! triples could be proven automatically", §5.2).
 
+#![forbid(unsafe_code)]
+
 use hgl_core::Lifter;
 use hgl_corpus::coreutils;
 use hgl_export::{export_theory, validate_lift, ValidateConfig};
