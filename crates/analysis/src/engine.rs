@@ -72,6 +72,10 @@ impl<F> Solution<F> {
     }
 }
 
+/// The cap on vertex recomputations that [`analyze`](crate::analyze)
+/// and the jump-table recovery pass to [`fixpoint`].
+pub(crate) const MAX_ITERATIONS: usize = 100_000;
+
 /// Run `pass` to fixpoint over `graph`.
 ///
 /// `max_iterations` caps vertex recomputations (a safety net for a

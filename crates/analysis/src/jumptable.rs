@@ -23,13 +23,14 @@
 //! the loop withdraws the hint (the jump goes back to unresolved).
 
 use crate::diag::{Diag, Rule, Severity};
-use crate::engine::fixpoint;
+use crate::engine::{fixpoint, MAX_ITERATIONS};
 use crate::vsa::{StridedInterval, VsaEnv, VsaPass};
 use hgl_core::diag::Annotation;
 use hgl_core::graph::HoareGraph;
 use hgl_core::lift::LiftResult;
 use crate::engine::Lattice;
 use hgl_core::refine::{IndirectResolver, Resolution};
+use hgl_core::tau::MAX_JUMP_TABLE;
 use hgl_elf::Binary;
 use hgl_x86::{decode, Mnemonic, Operand, Width};
 use std::collections::{BTreeMap, BTreeSet};
@@ -73,17 +74,16 @@ impl JumpTableRecovery {
 /// Run VSA over `graph` and try to resolve every `UnresolvedJump`
 /// annotation into a concrete target set read from the binary image.
 ///
-/// `max_iterations` caps the dataflow fixpoint; `max_entries` caps the
-/// number of table slots enumerated per jump. If the fixpoint does not
-/// converge its facts are an under-iteration and may miss index
-/// values, so no claim is made at all.
+/// A table of more than [`MAX_JUMP_TABLE`] slots is left unbounded:
+/// the lifter's own enumeration refuses the same tables. If the
+/// fixpoint does not converge within its iteration cap, its facts are
+/// an under-iteration and may miss index values, so no claim is made at
+/// all.
 pub fn recover_jump_tables(
     binary: &Binary,
     entry: u64,
     graph: &HoareGraph,
     annotations: &[Annotation],
-    max_iterations: usize,
-    max_entries: u64,
 ) -> JumpTableRecovery {
     let jumps: Vec<u64> = annotations
         .iter()
@@ -92,7 +92,7 @@ pub fn recover_jump_tables(
             _ => None,
         })
         .collect();
-    recover_jumps(binary, entry, graph, &jumps, max_iterations, max_entries)
+    recover_jumps(binary, entry, graph, &jumps)
 }
 
 /// [`recover_jump_tables`] over an explicit list of jump addresses —
@@ -104,16 +104,14 @@ pub fn recover_jumps(
     entry: u64,
     graph: &HoareGraph,
     jumps: &[u64],
-    max_iterations: usize,
-    max_entries: u64,
 ) -> JumpTableRecovery {
     let mut out = JumpTableRecovery::default();
     if jumps.is_empty() {
         return out;
     }
-    let sol = fixpoint(graph, &VsaPass { graph, entry }, max_iterations);
+    let sol = fixpoint(graph, &VsaPass { graph, entry }, MAX_ITERATIONS);
     for &addr in jumps {
-        match resolve_one(binary, graph, &sol.facts, sol.converged, addr, max_entries) {
+        match resolve_one(binary, graph, &sol.facts, sol.converged, addr) {
             Ok(targets) => {
                 out.resolved.insert(addr, targets);
             }
@@ -129,7 +127,6 @@ fn resolve_one(
     facts: &BTreeMap<hgl_core::graph::VertexId, VsaEnv>,
     converged: bool,
     addr: u64,
-    max_entries: u64,
 ) -> Result<BTreeSet<u64>, String> {
     if !converged {
         return Err("value-set fixpoint did not converge".into());
@@ -168,7 +165,7 @@ fn resolve_one(
         Some(b) => env.reg(b),
     };
     let slots = base_iv.add(&idx_iv.mul_const(m.scale as u64)).add_signed(m.disp);
-    let Some(addrs) = slots.enumerate(max_entries) else {
+    let Some(addrs) = slots.enumerate(MAX_JUMP_TABLE) else {
         return Err(format!(
             "index {idx} unbounded at the jump (idx {idx_iv}, slots {slots})",
             idx_iv = idx_iv,
@@ -194,19 +191,8 @@ fn resolve_one(
 /// The [`IndirectResolver`] the refinement loop uses: jump-table
 /// recovery over every cleanly lifted function that still carries
 /// `UnresolvedJump` annotations.
-#[derive(Debug, Clone)]
-pub struct VsaResolver {
-    /// Dataflow fixpoint iteration cap.
-    pub max_iterations: usize,
-    /// Table slots enumerated per jump at most.
-    pub max_entries: u64,
-}
-
-impl Default for VsaResolver {
-    fn default() -> VsaResolver {
-        VsaResolver { max_iterations: 100_000, max_entries: 1024 }
-    }
-}
+#[derive(Debug, Clone, Copy)]
+pub struct VsaResolver;
 
 impl IndirectResolver for VsaResolver {
     fn resolve(
@@ -244,8 +230,7 @@ impl IndirectResolver for VsaResolver {
                 continue;
             }
             let jumps: Vec<u64> = jumps.into_iter().collect();
-            let rec =
-                recover_jumps(binary, entry, &f.graph, &jumps, self.max_iterations, self.max_entries);
+            let rec = recover_jumps(binary, entry, &f.graph, &jumps);
             for (addr, targets) in rec.resolved {
                 out.resolved.entry(addr).or_insert_with(BTreeSet::new).extend(targets);
             }

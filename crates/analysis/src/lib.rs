@@ -20,12 +20,12 @@
 //!   [`AnalysisReport`].
 //!
 //! ```
-//! use hgl_analysis::{analyze, AnalysisConfig, Severity};
+//! use hgl_analysis::{analyze, Severity};
 //! use hgl_core::Lifter;
 //!
 //! let binary = hgl_corpus::failures::ret2win();
 //! let lifted = Lifter::new(&binary).lift_entry(binary.entry);
-//! let report = analyze(&binary, &lifted, &AnalysisConfig::default());
+//! let report = analyze(&binary, &lifted);
 //! assert!(report.totals.total() > 0);
 //! assert_eq!(report.count(Severity::Error), 0);
 //! ```
@@ -45,7 +45,7 @@ pub mod writes;
 pub use diag::{Diag, Rule, Severity};
 pub use engine::{fixpoint, Direction, Lattice, Solution, Transfer};
 pub use passes::{CanReachExit, Depth, Reachability, StackDepth};
-pub use report::{analyze, AnalysisConfig, AnalysisReport, FnAnalysis, ANALYSES};
+pub use report::{analyze, AnalysisReport, FnAnalysis, ANALYSES};
 pub use jumptable::{
     recover_jump_tables, recover_jumps, JumpTableRecovery, UnboundedIndirect, VsaResolver,
 };

@@ -1,6 +1,7 @@
 //! The per-binary analysis driver and its report.
 
 use crate::diag::{Diag, Rule, Severity};
+use crate::engine::MAX_ITERATIONS;
 use crate::lints::{lint_callee_saved, lint_reachability, lint_ret_slot, lint_stack_depth};
 use crate::writes::{classify_writes, ClassifiedWrite, WriteTotals};
 use hgl_core::lift::LiftResult;
@@ -20,27 +21,8 @@ pub const ANALYSES: [&str; 7] = [
     "vsa-unbounded-indirect",
 ];
 
-/// Knobs for [`analyze`].
-#[derive(Debug, Clone, Copy)]
-pub struct AnalysisConfig {
-    /// Cap on fixpoint vertex recomputations per pass.
-    pub max_iterations: usize,
-    /// Stack-depth warning threshold in bytes.
-    pub stack_depth_limit: u64,
-    /// Jump-table slots the value-set recovery enumerates per jump at
-    /// most.
-    pub max_table_entries: u64,
-}
-
-impl Default for AnalysisConfig {
-    fn default() -> AnalysisConfig {
-        AnalysisConfig {
-            max_iterations: 100_000,
-            stack_depth_limit: 1 << 20,
-            max_table_entries: 1024,
-        }
-    }
-}
+/// Stack depth in bytes above which `stack-depth` warns.
+const STACK_DEPTH_LIMIT: u64 = 1 << 20;
 
 /// Per-function analysis results.
 #[derive(Debug, Clone)]
@@ -116,7 +98,7 @@ impl fmt::Display for AnalysisReport {
 /// Works on partial results too: rejected functions keep their partial
 /// graphs, and the lints inspect whatever invariants were established
 /// before the reject.
-pub fn analyze(binary: &Binary, lift: &LiftResult, cfg: &AnalysisConfig) -> AnalysisReport {
+pub fn analyze(binary: &Binary, lift: &LiftResult) -> AnalysisReport {
     let layout =
         std::sync::Arc::new(Layout { text: binary.text_ranges(), data: binary.data_ranges() });
     let mut report = AnalysisReport::default();
@@ -131,21 +113,14 @@ pub fn analyze(binary: &Binary, lift: &LiftResult, cfg: &AnalysisConfig) -> Anal
         let g = &f.graph;
         report.diags.extend(lint_callee_saved(binary, entry, g));
         report.diags.extend(lint_ret_slot(binary, entry, g, &layout));
-        let depth = lint_stack_depth(entry, g, cfg.stack_depth_limit, cfg.max_iterations);
+        let depth = lint_stack_depth(entry, g, STACK_DEPTH_LIMIT, MAX_ITERATIONS);
         report.diags.extend(depth.diags);
-        let reach = lint_reachability(entry, g, cfg.max_iterations);
+        let reach = lint_reachability(entry, g, MAX_ITERATIONS);
         report.diags.extend(reach.diags);
         // Value-set recovery over still-unresolved indirect jumps:
         // whatever it cannot bound is statically uncovered control
         // flow, surfaced as `vsa-unbounded-indirect`.
-        let rec = crate::jumptable::recover_jump_tables(
-            binary,
-            entry,
-            g,
-            &f.annotations,
-            cfg.max_iterations,
-            cfg.max_table_entries,
-        );
+        let rec = crate::jumptable::recover_jump_tables(binary, entry, g, &f.annotations);
         report.diags.extend(rec.diags(entry));
         report.functions.insert(
             entry,

@@ -4,7 +4,7 @@
 //! This is the static half of the shadow-stack story: the warning is
 //! what tells `hgl-rewrite` which `ret`s need a guard.
 
-use hgl_analysis::{analyze, AnalysisConfig, Rule, Severity};
+use hgl_analysis::{analyze, Rule, Severity};
 use hgl_corpus::failures;
 use hgl_corpus::xen::gen_study_binary;
 use hgl_core::Lifter;
@@ -14,7 +14,7 @@ fn corrupted_return_gets_an_assumed_separation_warning() {
     let bin = failures::corrupted_return();
     let lift = Lifter::new(&bin).lift_entry(bin.entry);
     assert!(lift.is_lifted(), "fixture must lift: {:?}", lift.reject_reason());
-    let report = analyze(&bin, &lift, &AnalysisConfig::default());
+    let report = analyze(&bin, &lift);
     let warn = report
         .diags
         .iter()
@@ -33,7 +33,7 @@ fn generated_corpus_functions_stay_clean() {
     // new warning arm must not fire on ordinary corpus programs.
     let bin = gen_study_binary(0x5eed, false);
     let lift = Lifter::new(&bin).lift_all();
-    let report = analyze(&bin, &lift.result, &AnalysisConfig::default());
+    let report = analyze(&bin, &lift.result);
     assert!(
         !report
             .diags

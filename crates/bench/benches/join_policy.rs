@@ -7,12 +7,12 @@
 //! visible next to the cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hgl_bench::weird_edge_binary;
 use hgl_core::lift::LiftConfig;
 use hgl_core::Lifter;
+use hgl_corpus::failures::weird_edge;
 
 fn bench_join_policy(c: &mut Criterion) {
-    let bin = weird_edge_binary();
+    let bin = weird_edge();
     let mut with = LiftConfig::default();
     with.limits.code_pointer_refinement = true;
     let mut without = LiftConfig::default();

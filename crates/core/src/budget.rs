@@ -1,18 +1,17 @@
-//! Layered resource budgets for graceful degradation.
+//! The lift's resource budget.
 //!
-//! The paper ran each unit with a single 4-hour wall clock; our original
-//! driver mirrored that with one `Duration`. A single deadline cannot
-//! distinguish *why* a unit was expensive, and it discards everything on
-//! expiry. This module replaces it with a layered [`Budget`] — wall
-//! clock, per-function step fuel, solver-query count and fork count —
-//! tracked by a shared [`BudgetMeter`]. Exhausting any dimension stops
-//! exploration *gracefully*: the partial Hoare Graph built so far is
-//! kept, and every unexplored frontier address is annotated with
+//! The paper ran each unit under a single wall clock (§6: four hours
+//! per binary). [`Budget`] keeps that one global dimension and adds a
+//! per-function step fuel; the engine also caps symbolic states per
+//! function ([`ExploreLimits::max_states`](crate::explore::ExploreLimits::max_states)).
+//! A [`BudgetMeter`] holds the wall-clock deadline for one lift.
+//! Exhausting any dimension stops exploration *gracefully*: the partial
+//! Hoare Graph built so far is kept, and every unexplored frontier
+//! address is annotated with
 //! [`Annotation::BudgetFrontier`](crate::diag::Annotation::BudgetFrontier)
 //! so the caller can see exactly where coverage stopped.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// The budget dimension that ran out.
@@ -22,10 +21,6 @@ pub enum BudgetDim {
     WallClock,
     /// A function consumed its per-function step fuel.
     Fuel,
-    /// The global solver-query allowance ran out.
-    SolverQueries,
-    /// The global memory-model fork allowance ran out.
-    Forks,
     /// A function exceeded its symbolic-state cap
     /// ([`ExploreLimits::max_states`](crate::explore::ExploreLimits::max_states)).
     States,
@@ -36,8 +31,6 @@ impl fmt::Display for BudgetDim {
         let s = match self {
             BudgetDim::WallClock => "wall clock",
             BudgetDim::Fuel => "step fuel",
-            BudgetDim::SolverQueries => "solver queries",
-            BudgetDim::Forks => "forks",
             BudgetDim::States => "symbolic states",
         };
         f.write_str(s)
@@ -61,27 +54,18 @@ impl fmt::Display for BudgetExhausted {
     }
 }
 
-/// Layered resource limits for one lift. `None` disables a dimension.
+/// Resource limits for one lift. `None` disables a dimension.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Budget {
     /// Wall-clock limit for the whole lift.
     pub wall_clock: Option<Duration>,
     /// Per-function symbolic step limit.
     pub max_fuel: Option<u64>,
-    /// Global solver-query limit.
-    pub max_solver_queries: Option<u64>,
-    /// Global memory-model fork limit.
-    pub max_forks: Option<u64>,
 }
 
 impl Default for Budget {
     fn default() -> Budget {
-        Budget {
-            wall_clock: Some(Duration::from_secs(60)),
-            max_fuel: None,
-            max_solver_queries: None,
-            max_forks: None,
-        }
+        Budget { wall_clock: Some(Duration::from_secs(60)), max_fuel: None }
     }
 }
 
@@ -93,27 +77,18 @@ impl Budget {
 
     /// A budget with every dimension disabled (tests and harnesses).
     pub fn unlimited() -> Budget {
-        Budget { wall_clock: None, max_fuel: None, max_solver_queries: None, max_forks: None }
+        Budget { wall_clock: None, max_fuel: None }
     }
 }
 
-/// Shared consumption counters for one lift.
-///
-/// Counters are atomic so that read paths holding `&self` (notably
-/// solver-context construction in `StepCtx`) can record consumption
-/// without threading `&mut` borrows through the stepper, and so one
-/// meter can be shared across the parallel engine's worker threads —
-/// global dimensions (wall clock, solver queries, forks) are consumed
-/// by all workers against a single allowance.
+/// The wall-clock deadline of one lift, shared by every worker of the
+/// parallel engine. Per-function fuel and states are checked by the
+/// exploration owning the function.
 #[derive(Debug)]
 pub struct BudgetMeter {
     deadline: Option<Instant>,
     wall_clock: Option<Duration>,
     started: Instant,
-    solver_queries: AtomicU64,
-    forks: AtomicU64,
-    max_solver_queries: Option<u64>,
-    max_forks: Option<u64>,
 }
 
 impl BudgetMeter {
@@ -124,10 +99,6 @@ impl BudgetMeter {
             deadline: budget.wall_clock.map(|d| started + d),
             wall_clock: budget.wall_clock,
             started,
-            solver_queries: AtomicU64::new(0),
-            forks: AtomicU64::new(0),
-            max_solver_queries: budget.max_solver_queries,
-            max_forks: budget.max_forks,
         }
     }
 
@@ -154,57 +125,18 @@ impl BudgetMeter {
         meter
     }
 
-    /// Records one solver query.
-    pub fn count_solver_query(&self) {
-        self.solver_queries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` memory-model forks.
-    pub fn count_forks(&self, n: u64) {
-        self.forks.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Solver queries recorded so far.
-    pub fn solver_queries(&self) -> u64 {
-        self.solver_queries.load(Ordering::Relaxed)
-    }
-
-    /// Forks recorded so far.
-    pub fn forks(&self) -> u64 {
-        self.forks.load(Ordering::Relaxed)
-    }
-
-    /// Checks every *global* dimension (wall clock, solver queries,
-    /// forks); per-function fuel and states are checked by the
-    /// exploration owning the function.
+    /// Checks the one global dimension, the wall clock.
     pub fn check_global(&self) -> Option<BudgetExhausted> {
-        if let Some(deadline) = self.deadline {
-            if Instant::now() > deadline {
-                let limit = self.wall_clock.unwrap_or(Duration::ZERO);
-                return Some(BudgetExhausted {
-                    dimension: BudgetDim::WallClock,
-                    used: self.started.elapsed().as_millis() as u64,
-                    limit: limit.as_millis() as u64,
-                });
-            }
+        let deadline = self.deadline?;
+        if Instant::now() <= deadline {
+            return None;
         }
-        if let Some(max) = self.max_solver_queries {
-            let used = self.solver_queries.load(Ordering::Relaxed);
-            if used >= max {
-                return Some(BudgetExhausted {
-                    dimension: BudgetDim::SolverQueries,
-                    used,
-                    limit: max,
-                });
-            }
-        }
-        if let Some(max) = self.max_forks {
-            let used = self.forks.load(Ordering::Relaxed);
-            if used >= max {
-                return Some(BudgetExhausted { dimension: BudgetDim::Forks, used, limit: max });
-            }
-        }
-        None
+        let limit = self.wall_clock.unwrap_or(Duration::ZERO);
+        Some(BudgetExhausted {
+            dimension: BudgetDim::WallClock,
+            used: self.started.elapsed().as_millis() as u64,
+            limit: limit.as_millis() as u64,
+        })
     }
 }
 
@@ -215,22 +147,7 @@ mod tests {
     #[test]
     fn unlimited_budget_never_exhausts() {
         let meter = BudgetMeter::start(&Budget::unlimited());
-        meter.count_solver_query();
-        meter.count_forks(1_000_000);
         assert_eq!(meter.check_global(), None);
-    }
-
-    #[test]
-    fn solver_query_limit_trips() {
-        let budget = Budget { max_solver_queries: Some(3), ..Budget::unlimited() };
-        let meter = BudgetMeter::start(&budget);
-        assert_eq!(meter.check_global(), None);
-        for _ in 0..3 {
-            meter.count_solver_query();
-        }
-        let ex = meter.check_global().expect("exhausted");
-        assert_eq!(ex.dimension, BudgetDim::SolverQueries);
-        assert_eq!((ex.used, ex.limit), (3, 3));
     }
 
     #[test]

@@ -40,8 +40,8 @@ use crate::budget::BudgetMeter;
 use crate::explore::{ExploreCx, FnExploration};
 use crate::fingerprint::Fingerprint;
 use crate::lift::{
-    assemble, concurrency_reject, isolated, lift_bytes_impl, panic_message, reject_of_exhaustion,
-    FnLift, LiftConfig, LiftResult,
+    assemble, concurrency_reject, isolated, lift_bytes_impl, panic_message, FnLift, LiftConfig,
+    LiftResult, RejectReason,
 };
 use crate::metrics::{Metrics, MetricsSnapshot, Phase};
 use crate::store_api::ArtifactStore;
@@ -381,7 +381,7 @@ impl<'b> Lifter<'b> {
                         s.e.mark_frontier(ex);
                     }
                 }
-                result.binary_reject = Some(reject_of_exhaustion(&ex));
+                result.binary_reject = Some(RejectReason::Timeout);
                 break;
             }
             let runnable: Vec<u64> = slots
@@ -474,7 +474,7 @@ impl<'b> Lifter<'b> {
         let cx = ExploreCx {
             binary: self.binary,
             layout,
-            step: &self.config.step,
+            indirect_hints: &self.config.indirect_hints,
             limits: &self.config.limits,
             budget: &self.config.budget,
             meter,
@@ -509,8 +509,9 @@ impl<'b> Lifter<'b> {
     /// under-approximate claim cannot oscillate back in), and the next
     /// round reports the jump unresolved again. Hints and the lifter
     /// configuration are only committed when a re-lift actually runs,
-    /// so [`RefinedLift::hints`] is always the set the returned result
-    /// was lifted under — even on a round-bound trip.
+    /// so [`RefinedLift::hints`](crate::refine::RefinedLift::hints) is
+    /// always the set the returned result was lifted under — even on a
+    /// round-bound trip.
     ///
     /// Each round is an ordinary [`Lifter::lift_entry`]: it shares
     /// this session's deadline, budget and solver cache, and because
@@ -554,7 +555,7 @@ impl<'b> Lifter<'b> {
         lift: impl Fn(&Lifter<'b>) -> T,
         result_of: impl Fn(&T) -> &LiftResult,
     ) -> (T, crate::refine::RefinedLift) {
-        let mut hints = self.config.step.indirect_hints.clone();
+        let mut hints = self.config.indirect_hints.clone();
         let mut last = lift(self);
         let mut rounds = 1usize;
         let mut converged = false;
@@ -574,7 +575,7 @@ impl<'b> Lifter<'b> {
                         break;
                     }
                     hints = next;
-                    self.config.step.indirect_hints = hints.clone();
+                    self.config.indirect_hints = hints.clone();
                     last = lift(self);
                     rounds += 1;
                 }
@@ -772,7 +773,9 @@ mod tests {
         let b = leaf_binary();
         let fp = Fingerprint::of(&LiftConfig::default());
         assert_ne!(cache_scope(&fp, &a), cache_scope(&fp, &b), "layout must change the scope");
-        let fp2 = Fingerprint::of(&LiftConfig::default().max_fuel(7));
+        let mut config = LiftConfig::default();
+        config.budget.max_fuel = Some(7);
+        let fp2 = Fingerprint::of(&config);
         assert_ne!(cache_scope(&fp, &a), cache_scope(&fp2, &a), "config must change the scope");
     }
 

@@ -6,7 +6,7 @@ use crate::diag::{Annotation, Diagnostics};
 use crate::graph::{Edge, HoareGraph, VertexId};
 use crate::metrics::{Metrics, Phase};
 use crate::pred::SymState;
-use crate::tau::{step, StepConfig, StepCtx, Successor};
+use crate::tau::{step, StepCtx, Successor};
 use crate::VerificationError;
 use hgl_elf::Binary;
 use hgl_expr::Expr;
@@ -17,8 +17,8 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// Everything one exploration step needs from its surroundings: the
-/// binary, the tunables, the shared budget meter, and the optional
-/// solver cache and metrics sink. Bundling these keeps
+/// binary, the configuration, the shared wall-clock meter, and the
+/// optional solver cache and metrics sink. Bundling these keeps
 /// [`FnExploration::run`]'s signature stable as the pipeline grows
 /// cross-cutting services.
 #[derive(Clone, Copy)]
@@ -28,13 +28,13 @@ pub struct ExploreCx<'a> {
     /// Its section layout (shared handle; cloned per solver query at
     /// the cost of a refcount bump, not a section-table copy).
     pub layout: &'a Arc<Layout>,
-    /// Stepping tunables.
-    pub step: &'a StepConfig,
+    /// Externally resolved indirect-branch targets.
+    pub indirect_hints: &'a BTreeMap<u64, BTreeSet<u64>>,
     /// Exploration limits.
     pub limits: &'a ExploreLimits,
     /// The configured budget (per-function dimensions).
     pub budget: &'a Budget,
-    /// Shared consumption counters.
+    /// The lift's wall-clock deadline.
     pub meter: &'a BudgetMeter,
     /// Shared solver-query memo table, if the caller runs one.
     pub cache: Option<&'a Arc<QueryCache>>,
@@ -274,9 +274,9 @@ impl FnExploration {
         while let Some(item) = self.bag.pop() {
             worked = true;
             if cx.meter.check_global().is_some() {
-                // Global dimensions (wall clock, solver queries, forks)
-                // are reported at the lift level; keep the item so the
-                // driver can annotate the frontier across all functions.
+                // The wall clock is reported at the lift level; keep the
+                // item so the driver can annotate the frontier across all
+                // functions.
                 self.bag.push(item);
                 return worked;
             }
@@ -328,7 +328,7 @@ impl FnExploration {
 
     /// One iteration of Algorithm 1's `explore`.
     fn explore_item(&mut self, cx: &ExploreCx<'_>, item: BagItem) {
-        let ExploreCx { binary, layout, step: step_config, limits, meter, .. } = *cx;
+        let ExploreCx { binary, layout, indirect_hints, limits, .. } = *cx;
         let BagItem { addr, state, from } = item;
 
         // Lines 3–9: find a compatible vertex, join or create. Only a
@@ -401,7 +401,6 @@ impl FnExploration {
         // Vacuous states (contradictory path clauses) represent no
         // concrete states; exploring them wastes effort and can poison
         // interval reasoning. Prune.
-        meter.count_solver_query();
         let t = stamp(cx.metrics);
         let sat_check = hgl_solver::Ctx::from_clauses(state.pred.clauses.iter(), Arc::clone(layout));
         let t = lap(cx.metrics, Phase::Solver, t);
@@ -438,10 +437,9 @@ impl FnExploration {
         let mut ctx = StepCtx {
             binary,
             layout: Arc::clone(layout),
-            config: step_config,
+            indirect_hints,
             fresh: &mut self.fresh,
             diags: &mut self.diags,
-            meter,
             cache: cx.cache.cloned(),
             metrics: cx.metrics,
         };
@@ -454,9 +452,6 @@ impl FnExploration {
                 return;
             }
         };
-        if successors.len() > 1 {
-            meter.count_forks(successors.len() as u64 - 1);
-        }
         // Push in reverse so the LIFO bag explores successors in
         // production order: structured memory-model forks (alias,
         // separate) resolve their control flow *before* the destroy

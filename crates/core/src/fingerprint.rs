@@ -13,8 +13,11 @@
 //! - the semantic crate versions (`hgl-core`, `hgl-solver`, `hgl-expr`,
 //!   `hgl-x86` — a decoder or solver fix must invalidate old
 //!   artifacts),
-//! - every knob of [`LiftConfig`]: all budget dimensions, the stepping
-//!   tunables and the exploration limits.
+//! - every knob of [`LiftConfig`]: both budget dimensions, the
+//!   resolved-indirection hints and the exploration limits. The
+//!   stepping caps (`tau::MAX_*`) are constants, not knobs: like any
+//!   other change to the lifter's code, changing one must bump a
+//!   version folded in here.
 //!
 //! The encoding is explicit field-by-field (never `Debug`, whose
 //! output is not stable across compiler or code changes), so two
@@ -26,7 +29,6 @@
 use crate::budget::Budget;
 use crate::explore::ExploreLimits;
 use crate::lift::LiftConfig;
-use crate::tau::StepConfig;
 
 /// Version of the per-function artifact schema (the semantic content
 /// of a lift: graph, diagnostics, claims). Bump when the *meaning* of
@@ -48,13 +50,12 @@ impl Fingerprint {
     /// Every configuration struct is destructured without `..`, so a
     /// field added later does not compile until it is hashed here.
     pub fn of(config: &LiftConfig) -> Fingerprint {
-        let LiftConfig { budget, step, limits } = config;
-        let Budget { wall_clock, max_fuel, max_solver_queries, max_forks } = budget;
-        let StepConfig { max_models_per_step, max_jump_table, max_expr_nodes, indirect_hints } = step;
+        let LiftConfig { budget, indirect_hints, limits } = config;
+        let Budget { wall_clock, max_fuel } = budget;
         let ExploreLimits { max_states, widen_after, code_pointer_refinement } = limits;
         let mut bytes = Vec::with_capacity(128);
         bytes.extend_from_slice(b"hgl-fingerprint");
-        push_u32(&mut bytes, 2); // fingerprint encoding version
+        push_u32(&mut bytes, 3); // fingerprint encoding version
         push_u32(&mut bytes, ARTIFACT_SCHEMA_VERSION);
         push_str(&mut bytes, env!("CARGO_PKG_VERSION")); // hgl-core
         push_str(&mut bytes, hgl_solver::VERSION);
@@ -63,12 +64,6 @@ impl Fingerprint {
         // Budget.
         push_opt_u64(&mut bytes, wall_clock.map(|d| d.as_nanos() as u64));
         push_opt_u64(&mut bytes, *max_fuel);
-        push_opt_u64(&mut bytes, *max_solver_queries);
-        push_opt_u64(&mut bytes, *max_forks);
-        // Stepping tunables.
-        push_u64(&mut bytes, *max_models_per_step as u64);
-        push_u64(&mut bytes, *max_jump_table);
-        push_u64(&mut bytes, *max_expr_nodes as u64);
         // Resolved-indirection hints: count, then every (jump, target)
         // pair in sorted order — a refinement round with different
         // hints is a different artifact.
@@ -151,54 +146,35 @@ mod tests {
         assert_eq!(a.digest64(), b.digest64());
     }
 
-    /// The satellite regression test: changing *any* knob of the
-    /// configuration must change the fingerprint. A knob the
-    /// fingerprint misses would let the store serve artifacts computed
-    /// under a different configuration.
+    /// Changing *any* knob of the configuration must change the
+    /// fingerprint. A knob the fingerprint misses would let the store
+    /// serve artifacts computed under a different configuration.
     #[test]
     fn every_knob_changes_the_fingerprint() {
         let base = Fingerprint::of(&LiftConfig::default());
+        let with = |set: fn(&mut LiftConfig)| {
+            let mut c = LiftConfig::default();
+            set(&mut c);
+            c
+        };
         let variants: Vec<(&str, LiftConfig)> = vec![
-            ("timeout", LiftConfig::default().timeout(Duration::from_secs(123))),
-            ("budget", LiftConfig::default().budget(Budget::unlimited())),
-            ("max_fuel", LiftConfig::default().max_fuel(77)),
-            ("max_solver_queries", LiftConfig::default().max_solver_queries(77)),
-            ("max_forks", LiftConfig::default().max_forks(77)),
+            ("budget.wall_clock", with(|c| c.budget.wall_clock = Some(Duration::from_secs(123)))),
+            ("budget (unlimited)", with(|c| c.budget = Budget::unlimited())),
+            ("budget.max_fuel", with(|c| c.budget.max_fuel = Some(77))),
             (
-                "step.max_models_per_step",
-                LiftConfig::default()
-                    .step(StepConfig { max_models_per_step: 3, ..StepConfig::default() }),
+                "indirect_hints",
+                with(|c| {
+                    c.indirect_hints =
+                        [(0x401000u64, [0x401010u64, 0x401020].into_iter().collect())]
+                            .into_iter()
+                            .collect()
+                }),
             ),
-            (
-                "step.max_jump_table",
-                LiftConfig::default().step(StepConfig { max_jump_table: 3, ..StepConfig::default() }),
-            ),
-            (
-                "step.max_expr_nodes",
-                LiftConfig::default().step(StepConfig { max_expr_nodes: 3, ..StepConfig::default() }),
-            ),
-            (
-                "step.indirect_hints",
-                LiftConfig::default().indirect_hints(
-                    [(0x401000u64, [0x401010u64, 0x401020].into_iter().collect())]
-                        .into_iter()
-                        .collect(),
-                ),
-            ),
-            (
-                "limits.max_states",
-                LiftConfig::default().limits(ExploreLimits { max_states: 3, ..ExploreLimits::default() }),
-            ),
-            (
-                "limits.widen_after",
-                LiftConfig::default().limits(ExploreLimits { widen_after: 3, ..ExploreLimits::default() }),
-            ),
+            ("limits.max_states", with(|c| c.limits.max_states = 3)),
+            ("limits.widen_after", with(|c| c.limits.widen_after = 3)),
             (
                 "limits.code_pointer_refinement",
-                LiftConfig::default().limits(ExploreLimits {
-                    code_pointer_refinement: false,
-                    ..ExploreLimits::default()
-                }),
+                with(|c| c.limits.code_pointer_refinement = false),
             ),
         ];
         for (name, cfg) in variants {
@@ -210,8 +186,12 @@ mod tests {
 
     #[test]
     fn digest_matches_bytes() {
-        let a = Fingerprint::of(&LiftConfig::default().max_fuel(1));
-        let b = Fingerprint::of(&LiftConfig::default().max_fuel(2));
+        let fuel = |n| {
+            let mut c = LiftConfig::default();
+            c.budget.max_fuel = Some(n);
+            Fingerprint::of(&c)
+        };
+        let (a, b) = (fuel(1), fuel(2));
         assert_ne!(a.bytes(), b.bytes());
         assert_ne!(a.digest64(), b.digest64());
     }

@@ -13,99 +13,43 @@
 //! return sites become reachable only when their callee provably
 //! returns.
 
-use crate::budget::{Budget, BudgetDim, BudgetExhausted};
+use crate::budget::{Budget, BudgetDim};
 use crate::diag::{Annotation, ProofObligation, VerificationError};
 use crate::explore::{ExploreLimits, FnExploration};
 use crate::graph::HoareGraph;
-use crate::tau::StepConfig;
 use hgl_elf::Binary;
 use hgl_solver::Assumption;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-/// Lifting configuration, assembled with chained builder methods:
+/// Lifting configuration. Every field is public and set by plain
+/// assignment:
 ///
 /// ```
 /// use hgl_core::lift::LiftConfig;
-/// use hgl_core::budget::Budget;
 /// use std::time::Duration;
 ///
-/// let cfg = LiftConfig::default()
-///     .timeout(Duration::from_secs(30))
-///     .max_solver_queries(50_000);
-/// assert_eq!(cfg.budget.wall_clock, Some(Duration::from_secs(30)));
-/// assert_eq!(cfg.budget.max_solver_queries, Some(50_000));
+/// let mut cfg = LiftConfig::default();
+/// cfg.budget.wall_clock = Some(Duration::from_secs(30));
+/// cfg.limits.max_states = 4000;
+/// assert_eq!(cfg.budget.max_fuel, None);
 /// ```
-///
-/// Each method touches only its own knob, so a timeout composes with
-/// budget dimensions set before or after it.
 #[derive(Debug, Clone, Default)]
 pub struct LiftConfig {
-    /// Layered resource budget (the paper used a single 4 h wall clock
-    /// per unit; [`Budget`] adds per-function fuel, solver-query and
-    /// fork dimensions on top).
+    /// Resource budget: the paper's single wall clock per unit, plus a
+    /// per-function step fuel.
     pub budget: Budget,
-    /// Stepping tunables.
-    pub step: StepConfig,
+    /// Externally resolved indirect-branch targets, keyed by the
+    /// address of the (otherwise unresolvable) indirect jump. Fed back
+    /// by the analyze→re-lift refinement loop (`Lifter::
+    /// lift_entry_refined`); consulted only after the lifter's own
+    /// table enumeration fails, and every hinted target is still
+    /// required to land in executable code. Part of the configuration
+    /// fingerprint, so cached artifacts and solver scopes stay sound.
+    pub indirect_hints: BTreeMap<u64, BTreeSet<u64>>,
     /// Exploration limits.
     pub limits: ExploreLimits,
-}
-
-impl LiftConfig {
-    /// Sets the wall-clock deadline, leaving every other budget
-    /// dimension untouched.
-    pub fn timeout(mut self, timeout: Duration) -> LiftConfig {
-        self.budget.wall_clock = Some(timeout);
-        self
-    }
-
-    /// Replaces the whole layered budget.
-    pub fn budget(mut self, budget: Budget) -> LiftConfig {
-        self.budget = budget;
-        self
-    }
-
-    /// Sets the per-function step-fuel limit.
-    pub fn max_fuel(mut self, fuel: u64) -> LiftConfig {
-        self.budget.max_fuel = Some(fuel);
-        self
-    }
-
-    /// Sets the global solver-query limit.
-    pub fn max_solver_queries(mut self, queries: u64) -> LiftConfig {
-        self.budget.max_solver_queries = Some(queries);
-        self
-    }
-
-    /// Sets the global memory-model fork limit.
-    pub fn max_forks(mut self, forks: u64) -> LiftConfig {
-        self.budget.max_forks = Some(forks);
-        self
-    }
-
-    /// Replaces the stepping tunables.
-    pub fn step(mut self, step: StepConfig) -> LiftConfig {
-        self.step = step;
-        self
-    }
-
-    /// Replaces the exploration limits.
-    pub fn limits(mut self, limits: ExploreLimits) -> LiftConfig {
-        self.limits = limits;
-        self
-    }
-
-    /// Replaces the resolved-indirection hint set (jump address →
-    /// target set) consulted when the lifter's own jump-table
-    /// enumeration fails. See [`StepConfig::indirect_hints`].
-    pub fn indirect_hints(
-        mut self,
-        hints: std::collections::BTreeMap<u64, std::collections::BTreeSet<u64>>,
-    ) -> LiftConfig {
-        self.step.indirect_hints = hints;
-        self
-    }
 }
 
 /// Why a unit (binary or function) was not lifted.
@@ -135,8 +79,8 @@ pub enum RejectReason {
     /// hold the partial Hoare Graphs built before the deadline, with
     /// frontier vertices annotated.
     Timeout,
-    /// A non-wall-clock resource budget ran out (states, fuel, solver
-    /// queries or forks). Partial results are kept, as for `Timeout`.
+    /// A per-function resource budget ran out (step fuel or symbolic
+    /// states). Partial results are kept, as for `Timeout`.
     StateBudget {
         /// The exhausted dimension.
         dimension: BudgetDim,
@@ -389,14 +333,6 @@ pub(crate) fn concurrency_reject(binary: &Binary) -> Option<RejectReason> {
         .values()
         .any(|n| n.starts_with("pthread_") && n != "pthread_exit")
         .then_some(RejectReason::Concurrency)
-}
-
-/// Maps a global budget exhaustion onto the reject taxonomy.
-pub(crate) fn reject_of_exhaustion(ex: &BudgetExhausted) -> RejectReason {
-    match ex.dimension {
-        BudgetDim::WallClock => RejectReason::Timeout,
-        dimension => RejectReason::StateBudget { dimension, used: ex.used, limit: ex.limit },
-    }
 }
 
 /// Assembles per-function explorations into [`FnLift`] results,

@@ -7,7 +7,6 @@
 //! memory model (forking per §2 when pointer relations are unknown);
 //! the predicate is then transformed per instruction semantics.
 
-use crate::budget::BudgetMeter;
 use crate::diag::{Annotation, Diagnostics, ProofObligation, VerificationError};
 use crate::memmodel::InsBranch;
 use crate::pred::{FlagState, Pred, Shared, SymState};
@@ -15,36 +14,18 @@ use hgl_elf::Binary;
 use hgl_expr::{Clause, Expr, Rel, Sym};
 use hgl_solver::{Ctx, Layout, Provenance, Region, RegionRel};
 use hgl_x86::{Cond, Instr, MemOperand, Mnemonic, Operand, Reg, RegRef, RepPrefix, Width};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Tunables threaded through stepping (a subset of `LiftConfig`).
-#[derive(Debug, Clone)]
-pub struct StepConfig {
-    /// Maximum memory models produced by one insertion.
-    pub max_models_per_step: usize,
-    /// Maximum entries enumerated from one jump table.
-    pub max_jump_table: u64,
-    /// Maximum expression size before degrading to ⊥.
-    pub max_expr_nodes: usize,
-    /// Externally resolved indirect-branch targets, keyed by the
-    /// address of the (otherwise unresolvable) indirect jump. Fed back
-    /// by the analyze→re-lift refinement loop (`Lifter::
-    /// lift_entry_refined`); consulted only after the lifter's own
-    /// table enumeration fails, and every hinted target is still
-    /// required to land in executable code. Part of the configuration
-    /// fingerprint, so cached artifacts and solver scopes stay sound.
-    pub indirect_hints: std::collections::BTreeMap<u64, std::collections::BTreeSet<u64>>,
-}
+/// Maximum memory models produced by one insertion.
+pub const MAX_MODELS_PER_STEP: usize = 16;
 
-impl Default for StepConfig {
-    fn default() -> StepConfig {
-        StepConfig {
-            max_models_per_step: 16,
-            max_jump_table: 1024,
-            max_expr_nodes: 256,
-            indirect_hints: std::collections::BTreeMap::new(),
-        }
-    }
-}
+/// Maximum entries enumerated from one jump table. A table with more
+/// slots is left unresolved. The value-set recovery in `hgl-analysis`
+/// reads the same cap, so τ and the recovery refuse the same tables.
+pub const MAX_JUMP_TABLE: u64 = 1024;
+
+/// Maximum expression size before degrading to ⊥.
+pub const MAX_EXPR_NODES: usize = 256;
 
 /// Mutable context for one step.
 pub struct StepCtx<'a> {
@@ -55,15 +36,14 @@ pub struct StepCtx<'a> {
     /// solver context holds a handle instead of copying section
     /// tables.
     pub layout: std::sync::Arc<Layout>,
-    /// Step tunables (borrowed from the lift configuration; one copy
-    /// per lift, not per step).
-    pub config: &'a StepConfig,
+    /// Externally resolved indirect-branch targets (borrowed from
+    /// [`LiftConfig::indirect_hints`](crate::lift::LiftConfig::indirect_hints);
+    /// one copy per lift, not per step).
+    pub indirect_hints: &'a BTreeMap<u64, BTreeSet<u64>>,
     /// Fresh-symbol counter.
     pub fresh: &'a mut u64,
     /// Diagnostics sink.
     pub diags: &'a mut Diagnostics,
-    /// Budget consumption counters (solver queries, forks).
-    pub meter: &'a BudgetMeter,
     /// Shared solver-query memo table, attached to every solver
     /// context this step constructs. `None` outside an engine session.
     pub cache: Option<std::sync::Arc<hgl_solver::QueryCache>>,
@@ -79,7 +59,6 @@ impl<'a> StepCtx<'a> {
     }
 
     fn solver_ctx(&self, pred: &Pred) -> Ctx {
-        self.meter.count_solver_query();
         let build = || Ctx::from_clauses(pred.clauses.iter(), std::sync::Arc::clone(&self.layout));
         let ctx = match self.metrics {
             Some(m) => m.time(crate::metrics::Phase::Solver, build),
@@ -237,7 +216,7 @@ fn write_region(ctx: &mut StepCtx<'_>, state: &mut SymState, region: &Region, va
             _ => state.pred.forget_mem(&r1),
         }
     }
-    let v = if value.node_count() > ctx.config.max_expr_nodes { Expr::bottom() } else { value };
+    let v = if value.node_count() > MAX_EXPR_NODES { Expr::bottom() } else { value };
     if region.size <= 8 && !v.is_bottom() {
         state.pred.set_mem(*region, v);
     }
@@ -265,7 +244,7 @@ fn read_operand(
 
 /// Write a value to an operand destination.
 fn write_operand(ctx: &mut StepCtx<'_>, state: &mut SymState, op: &Operand, v: Expr, next: u64) {
-    let v = if v.node_count() > ctx.config.max_expr_nodes { Expr::bottom() } else { v };
+    let v = if v.node_count() > MAX_EXPR_NODES { Expr::bottom() } else { v };
     match op {
         Operand::Reg(r) => state.pred.write_reg_ref(*r, v),
         Operand::Mem(m) => {
@@ -373,7 +352,7 @@ fn insert_regions(
                 }
             }
             let branches: Vec<InsBranch> =
-                s.model.insert(&sctx, region, ctx.config.max_models_per_step);
+                s.model.insert(&sctx, region, MAX_MODELS_PER_STEP);
             let mut branches = branches.into_iter();
             let last = branches.next_back();
             let apply = |mut ns: SymState, b: InsBranch, diags: &mut Diagnostics| {
@@ -403,8 +382,8 @@ fn insert_regions(
             }
         }
         states = out;
-        if states.len() > ctx.config.max_models_per_step {
-            states.truncate(ctx.config.max_models_per_step);
+        if states.len() > MAX_MODELS_PER_STEP {
+            states.truncate(MAX_MODELS_PER_STEP);
         }
     }
     Ok(states)
@@ -991,7 +970,7 @@ fn resolve_branch(
         return Ok(());
     }
     // Externally resolved target set (analyze→re-lift refinement).
-    if let Some(hinted) = ctx.config.indirect_hints.get(&instr.addr) {
+    if let Some(hinted) = ctx.indirect_hints.get(&instr.addr) {
         if !hinted.is_empty() {
             for &t in hinted {
                 if !ctx.binary.is_code(t) {
@@ -1031,7 +1010,7 @@ fn enumerate_targets(
             // the access size.
             let stride = if m.index.is_some() { m.scale.max(1) as u64 } else { size };
             let entries = (iv.hi - iv.lo) / stride + 1;
-            if entries > ctx.config.max_jump_table {
+            if entries > MAX_JUMP_TABLE {
                 return None;
             }
             let mut targets = Vec::new();
@@ -1069,7 +1048,7 @@ fn enumerate_targets(
             let iv = sctx.interval_of(&region.addr)?;
             let stride = region.size.max(1);
             let entries = (iv.hi - iv.lo) / stride + 1;
-            if entries > ctx.config.max_jump_table {
+            if entries > MAX_JUMP_TABLE {
                 return None;
             }
             let mut targets = Vec::new();
@@ -1373,15 +1352,13 @@ mod tests {
         let bin = binary_with(instr);
         let mut fresh = 100;
         let mut diags = Diagnostics::default();
-        let meter = crate::budget::BudgetMeter::start(&crate::budget::Budget::unlimited());
         let succ = {
             let mut ctx = StepCtx {
                 binary: &bin,
                 layout: std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
-                config: &StepConfig::default(),
+                indirect_hints: &BTreeMap::new(),
                 fresh: &mut fresh,
                 diags: &mut diags,
-                meter: &meter,
                 cache: None,
                 metrics: None,
             };
@@ -1538,14 +1515,12 @@ mod tests {
         };
         let mut fresh = 0;
         let mut diags = Diagnostics::default();
-        let meter = crate::budget::BudgetMeter::start(&crate::budget::Budget::unlimited());
         let mut ctx = StepCtx {
             binary: &bin,
             layout: std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
-            config: &StepConfig::default(),
+            indirect_hints: &BTreeMap::new(),
             fresh: &mut fresh,
             diags: &mut diags,
-            meter: &meter,
             cache: None,
             metrics: None,
         };
@@ -1592,14 +1567,12 @@ mod tests {
         let bin = binary_with(&mut store);
         let mut fresh = 0;
         let mut diags = Diagnostics::default();
-        let meter = crate::budget::BudgetMeter::start(&crate::budget::Budget::unlimited());
         let mut ctx = StepCtx {
             binary: &bin,
             layout: std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
-            config: &StepConfig::default(),
+            indirect_hints: &BTreeMap::new(),
             fresh: &mut fresh,
             diags: &mut diags,
-            meter: &meter,
             cache: None,
             metrics: None,
         };
@@ -1638,14 +1611,12 @@ mod tests {
         let bin = binary_with(&mut jmp);
         let mut fresh = 0;
         let mut diags = Diagnostics::default();
-        let meter = crate::budget::BudgetMeter::start(&crate::budget::Budget::unlimited());
         let mut ctx = StepCtx {
             binary: &bin,
             layout: std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
-            config: &StepConfig::default(),
+            indirect_hints: &BTreeMap::new(),
             fresh: &mut fresh,
             diags: &mut diags,
-            meter: &meter,
             cache: None,
             metrics: None,
         };

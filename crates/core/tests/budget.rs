@@ -1,4 +1,4 @@
-//! Graceful degradation: exhausting any budget dimension stops
+//! Graceful degradation: exhausting a budget dimension stops
 //! exploration but keeps the partial Hoare Graph, annotates the
 //! unexplored frontier, and reports a structured resource reject.
 
@@ -6,7 +6,7 @@ use hgl_asm::Asm;
 use hgl_core::lift::{LiftConfig, RejectReason};
 use hgl_core::{Annotation, BudgetDim, Lifter};
 use hgl_elf::Binary;
-use hgl_x86::{Cond, Instr, Mnemonic, Operand, Reg, Width};
+use hgl_x86::{Instr, Mnemonic, Operand, Reg, Width};
 use std::time::Duration;
 
 fn ins(m: Mnemonic, ops: Vec<Operand>, w: Width) -> Instr {
@@ -24,21 +24,6 @@ fn long_function(len: usize) -> Binary {
             Width::B4,
         ));
     }
-    asm.ret();
-    asm.entry("main").assemble().expect("assembles")
-}
-
-/// A function with a two-way branch (forks the symbolic state and
-/// issues solver queries).
-fn branchy_function() -> Binary {
-    let mut asm = Asm::new();
-    asm.label("main");
-    asm.ins(ins(Mnemonic::Cmp, vec![Operand::reg64(Reg::Rdi), Operand::Imm(3)], Width::B8));
-    asm.jcc(Cond::E, "other");
-    asm.ins(ins(Mnemonic::Mov, vec![Operand::reg(Reg::Rax, Width::B4), Operand::Imm(1)], Width::B4));
-    asm.ret();
-    asm.label("other");
-    asm.ins(ins(Mnemonic::Mov, vec![Operand::reg(Reg::Rax, Width::B4), Operand::Imm(2)], Width::B4));
     asm.ret();
     asm.entry("main").assemble().expect("assembles")
 }
@@ -98,78 +83,10 @@ fn expired_wall_clock_rejects_with_timeout() {
 }
 
 #[test]
-fn solver_query_budget_trips_as_state_budget() {
-    let bin = branchy_function();
-    let mut config = LiftConfig::default();
-    config.budget.max_solver_queries = Some(1);
-
-    let result = Lifter::new(&bin).with_config(config.clone()).lift_entry(bin.entry);
-    assert!(!result.is_lifted());
-    match result.reject_reason() {
-        Some(RejectReason::StateBudget { dimension: BudgetDim::SolverQueries, limit: 1, .. }) => {}
-        other => panic!("expected solver StateBudget, got {other:?}"),
-    }
-}
-
-#[test]
-fn fork_budget_trips_as_state_budget() {
-    let bin = branchy_function();
-    let mut config = LiftConfig::default();
-    config.budget.max_forks = Some(0);
-
-    let result = Lifter::new(&bin).with_config(config.clone()).lift_entry(bin.entry);
-    assert!(!result.is_lifted());
-    match result.reject_reason() {
-        Some(RejectReason::StateBudget { dimension: BudgetDim::Forks, limit: 0, .. }) => {}
-        other => panic!("expected fork StateBudget, got {other:?}"),
-    }
-}
-
-#[test]
 fn unlimited_budget_lifts_everything() {
     let bin = long_function(40);
     let config = LiftConfig { budget: hgl_core::Budget::unlimited(), ..LiftConfig::default() };
     let result = Lifter::new(&bin).with_config(config.clone()).lift_entry(bin.entry);
     assert!(result.is_lifted(), "reject: {:?}", result.reject_reason());
     assert_eq!(result.instruction_count(), 41); // 40 movs + ret
-}
-
-/// The builder knobs compose: each method touches only its own
-/// dimension, so chaining them accumulates instead of clobbering.
-#[test]
-fn builder_knobs_compose_without_clobbering() {
-    let config = LiftConfig::default()
-        .timeout(Duration::from_secs(7))
-        .max_fuel(123)
-        .max_solver_queries(456)
-        .max_forks(789);
-    assert_eq!(config.budget.wall_clock, Some(Duration::from_secs(7)));
-    assert_eq!(config.budget.max_fuel, Some(123));
-    assert_eq!(config.budget.max_solver_queries, Some(456));
-    assert_eq!(config.budget.max_forks, Some(789));
-
-    // Order independence: the same knobs in reverse give the same config.
-    let reversed = LiftConfig::default()
-        .max_forks(789)
-        .max_solver_queries(456)
-        .max_fuel(123)
-        .timeout(Duration::from_secs(7));
-    assert_eq!(reversed.budget, config.budget);
-
-    // A whole-budget override still composes with a later knob.
-    let layered = LiftConfig::default()
-        .budget(hgl_core::Budget::unlimited())
-        .timeout(Duration::from_secs(1));
-    assert_eq!(layered.budget.wall_clock, Some(Duration::from_secs(1)));
-    assert_eq!(layered.budget.max_fuel, None);
-
-    // And a composed config actually binds: the fuel knob trips on a
-    // binary the timeout alone would have let through.
-    let bin = long_function(40);
-    let strict = LiftConfig::default().timeout(Duration::from_secs(60)).max_fuel(10);
-    let result = Lifter::new(&bin).with_config(strict).lift_entry(bin.entry);
-    match result.reject_reason() {
-        Some(RejectReason::StateBudget { dimension: BudgetDim::Fuel, .. }) => {}
-        other => panic!("expected fuel StateBudget, got {other:?}"),
-    }
 }

@@ -9,7 +9,7 @@
 
 use hgl_core::diag::Diagnostics;
 use hgl_core::pred::{FlagState, Pred, Shared, SymState};
-use hgl_core::tau::{step, StepConfig, StepCtx, Successor};
+use hgl_core::tau::{step, StepCtx, Successor};
 use hgl_core::MemModel;
 use hgl_elf::{Binary, Segment, SegmentFlags};
 use hgl_emu::{FillPolicy, Machine, Mem};
@@ -71,14 +71,12 @@ fn check(instr: &Instr, regs: &BTreeMap<Reg, u64>, flags_from: Option<FlagSetup>
     let state = SymState { pred, model: Shared::new(MemModel::empty()) };
     let mut fresh = 0u64;
     let mut diags = Diagnostics::default();
-    let meter = hgl_core::BudgetMeter::start(&hgl_core::Budget::unlimited());
     let mut ctx = StepCtx {
         binary: &bin,
         layout: std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
-        config: &StepConfig::default(),
+        indirect_hints: &BTreeMap::new(),
         fresh: &mut fresh,
         diags: &mut diags,
-        meter: &meter,
         cache: None,
         metrics: None,
     };

@@ -1,8 +1,10 @@
-//! The §5.3 failure-case binaries, reproduced as synthesized ELFs.
+//! The paper's hand-built example binaries, reproduced as synthesized
+//! ELFs: the §2 weird edge, the §5.1 overflow, the §5.3 failure cases,
+//! and the seeded fixtures the lints must flag.
 
 use hgl_asm::Asm;
 use hgl_elf::Binary;
-use hgl_x86::{Instr, MemOperand, Mnemonic, Operand, Reg, Width};
+use hgl_x86::{Cond, Instr, MemOperand, Mnemonic, Operand, Reg, Width};
 
 fn ins(m: Mnemonic, ops: Vec<Operand>, w: Width) -> Instr {
     Instr::new(m, ops, w)
@@ -10,6 +12,47 @@ fn ins(m: Mnemonic, ops: Vec<Operand>, w: Width) -> Instr {
 
 fn mem(base: Reg, disp: i64, size: Width) -> Operand {
     Operand::Mem(MemOperand::base_disp(base, disp, size))
+}
+
+/// The §2 example, ported to x86-64: `weird` reads a jump-table entry
+/// `a_jt`, stores it through `rsi`, stores a constant through `rdx`,
+/// then jumps through `rsi`. When `rsi` and `rdx` alias, the constant
+/// overwrites `a_jt`; it points one byte into `carrier`'s
+/// `mov eax, 0xc3`, whose immediate byte `0xc3` is a hidden `ret` — a
+/// ROP gadget. An overapproximating lift must contain that weird edge.
+pub fn weird_edge() -> Binary {
+    let mut asm = Asm::new();
+    asm.label("weird");
+    // mov eax, edi ; cmp eax, 1 ; ja done      (bounded index)
+    asm.ins(ins(Mnemonic::Mov, vec![Operand::reg(Reg::Rax, Width::B4), Operand::reg(Reg::Rdi, Width::B4)], Width::B4));
+    asm.ins(ins(Mnemonic::Cmp, vec![Operand::reg(Reg::Rax, Width::B4), Operand::Imm(1)], Width::B4));
+    asm.jcc(Cond::A, "done");
+    // mov rax, [table + rax*8]                 (a_jt)
+    let load = ins(
+        Mnemonic::Mov,
+        vec![Operand::reg64(Reg::Rax), Operand::Mem(MemOperand::sib(None, Reg::Rax, 8, 0, Width::B8))],
+        Width::B8,
+    );
+    asm.ins_mem_label(load, 1, "table");
+    // mov [rsi], rax                           (*rsi := a_jt)
+    asm.ins(ins(Mnemonic::Mov, vec![mem(Reg::Rsi, 0, Width::B8), Operand::reg64(Reg::Rax)], Width::B8));
+    // mov qword [rdx], carrier+1               (the §2 `mov [esi], 1`)
+    let poison = ins(Mnemonic::Mov, vec![mem(Reg::Rdx, 0, Width::B8), Operand::Imm(0)], Width::B8);
+    asm.ins_imm_label_off(poison, 1, "carrier", 1);
+    // jmp [rsi]
+    asm.ins(ins(Mnemonic::Jmp, vec![mem(Reg::Rsi, 0, Width::B8)], Width::B8));
+    asm.label("t0");
+    asm.ret();
+    asm.label("t1");
+    asm.ret();
+    asm.label("done");
+    asm.ret();
+    // carrier: "mov eax, 0xc3" hides a `ret` (byte 0xc3) at carrier+1.
+    asm.label("carrier");
+    asm.ins(ins(Mnemonic::Mov, vec![Operand::reg(Reg::Rax, Width::B4), Operand::Imm(0xc3)], Width::B4));
+    asm.ret();
+    asm.jump_table("table", &["t0", "t1"]);
+    asm.entry("weird").assemble().expect("weird edge assembles")
 }
 
 /// The ROP-emporium `ret2win` shape (§5.3): `main` passes a pointer to
@@ -151,7 +194,7 @@ pub fn corrupted_return() -> Binary {
         vec![Operand::reg(Reg::Rdi, Width::B4), Operand::Imm(CORRUPT_TRIGGER)],
         Width::B4,
     ));
-    asm.jcc(hgl_x86::Cond::Ne, "benign");
+    asm.jcc(Cond::Ne, "benign");
     asm.movabs_label(Reg::Rax, "cell");
     asm.mov(Operand::reg64(Reg::Rax), mem(Reg::Rax, 0, Width::B8));
     asm.ins(ins(

@@ -12,33 +12,12 @@
 
 use hgl_core::lift::{LiftConfig, LiftResult, RejectReason};
 use hgl_core::Lifter;
-use hgl_elf::{Binary, Builder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
-/// Serialize a loaded [`Binary`] back into an ELF64 image, so that
-/// byte-level faults can be injected ahead of the parser.
-pub fn elf_image(bin: &Binary) -> Vec<u8> {
-    let mut b = Builder::new().entry(bin.entry);
-    for (i, seg) in bin.segments.iter().enumerate() {
-        let name = if seg.flags.x {
-            format!(".text{i}")
-        } else if seg.flags.w {
-            format!(".data{i}")
-        } else {
-            format!(".rodata{i}")
-        };
-        b = b.section(&name, seg.vaddr, seg.bytes.clone(), seg.flags);
-    }
-    for (addr, name) in &bin.externals {
-        b = b.external(*addr, name);
-    }
-    for (addr, name) in &bin.symbols {
-        b = b.symbol(*addr, name);
-    }
-    b.build()
-}
+// The campaign corrupts images that `elf_image` serialises.
+pub use hgl_elf::elf_image;
 
 fn u64le(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
@@ -236,6 +215,7 @@ pub fn run_campaign(pristine: &[u8], config: &LiftConfig, seed: u64, cases: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hgl_elf::Binary;
     use crate::gen::ProgramGen;
 
     fn pristine() -> Vec<u8> {

@@ -11,7 +11,8 @@
 //!   decoder's `fetch`.
 //! - [`Builder`] writes minimal static executables — used by `hgl-asm`
 //!   to synthesize the evaluation corpus. Emitted files round-trip
-//!   through [`Binary::parse`].
+//!   through [`Binary::parse`]; [`elf_image`] writes a loaded view
+//!   back out the same way.
 //!
 //! ## External functions
 //!
@@ -34,4 +35,4 @@ mod write;
 pub use binary::{Binary, Segment};
 pub use read::ParseError;
 pub use types::{SegmentFlags, PAGE};
-pub use write::Builder;
+pub use write::{elf_image, Builder};

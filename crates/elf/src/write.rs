@@ -301,6 +301,31 @@ impl Builder {
     }
 }
 
+/// Serialise a loaded [`Binary`] back into an ELF64 image. Sections
+/// are named by their permissions (`.textN` / `.dataN` / `.rodataN`)
+/// and keep their original virtual addresses, so the image parses back
+/// to the same loaded view.
+pub fn elf_image(bin: &Binary) -> Vec<u8> {
+    let mut b = Builder::new().entry(bin.entry);
+    for (i, seg) in bin.segments.iter().enumerate() {
+        let name = if seg.flags.x {
+            format!(".text{i}")
+        } else if seg.flags.w {
+            format!(".data{i}")
+        } else {
+            format!(".rodata{i}")
+        };
+        b = b.section(&name, seg.vaddr, seg.bytes.clone(), seg.flags);
+    }
+    for (addr, name) in &bin.externals {
+        b = b.external(*addr, name);
+    }
+    for (addr, name) in &bin.symbols {
+        b = b.symbol(*addr, name);
+    }
+    b.build()
+}
+
 fn encode_extmap(externals: &BTreeMap<u64, String>) -> Vec<u8> {
     let mut out = Vec::new();
     for (addr, name) in externals {

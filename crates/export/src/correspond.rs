@@ -25,7 +25,7 @@ pub struct CorrespondReport {
     pub functions: usize,
     /// Total mismatches found.
     pub mismatches: usize,
-    /// Human-readable details for the first [`MAX_DETAILS`] mismatches.
+    /// Human-readable details for the first 32 mismatches.
     pub details: Vec<String>,
 }
 

@@ -14,7 +14,7 @@
 //!
 //! and commit the refreshed files together with the exporter change.
 
-use hgl_analysis::{analyze, AnalysisConfig};
+use hgl_analysis::analyze;
 use hgl_asm::Asm;
 use hgl_core::Lifter;
 use hgl_export::json::Json;
@@ -152,14 +152,14 @@ fn lint_json_matches_golden() {
     // Clean binary: writes and per-function stats, no diagnostics.
     let bin = fixed_binary();
     let lifted = Lifter::new(&bin).lift_entry(bin.entry);
-    let report = analyze(&bin, &lifted, &AnalysisConfig::default());
+    let report = analyze(&bin, &lifted);
     assert_golden("fixed_lint.json", &export_lint_json(&report));
 
     // Defective binary: the callee-saved-clobber error shows up in the
     // diags array.
     let bin = lint_binary();
     let lifted = Lifter::new(&bin).lift_entry(bin.entry);
-    let report = analyze(&bin, &lifted, &AnalysisConfig::default());
+    let report = analyze(&bin, &lifted);
     assert!(!report.diags.is_empty(), "lint binary must produce diagnostics");
     assert_golden("lint.json", &export_lint_json(&report));
 
@@ -168,7 +168,7 @@ fn lint_json_matches_golden() {
     // `vsa-unbounded-indirect` warning lands in the diags array.
     let bin = vsa_lint_binary();
     let lifted = Lifter::new(&bin).lift_entry(bin.entry);
-    let report = analyze(&bin, &lifted, &AnalysisConfig::default());
+    let report = analyze(&bin, &lifted);
     assert!(
         report.diags.iter().any(|d| d.rule.name() == "vsa-unbounded-indirect"),
         "vsa fixture must fire the lint: {report}"

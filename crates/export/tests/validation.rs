@@ -105,33 +105,7 @@ fn jump_table_validates() {
 /// both the intended and the weird control flow.
 #[test]
 fn weird_edge_validates() {
-    let mut asm = Asm::new();
-    asm.label("weird");
-    asm.ins(ins(Mnemonic::Mov, vec![Operand::reg(Reg::Rax, Width::B4), Operand::reg(Reg::Rdi, Width::B4)], Width::B4));
-    asm.ins(ins(Mnemonic::Cmp, vec![Operand::reg(Reg::Rax, Width::B4), Operand::Imm(1)], Width::B4));
-    asm.jcc(Cond::A, "done");
-    let load = ins(
-        Mnemonic::Mov,
-        vec![Operand::reg64(Reg::Rax), Operand::Mem(MemOperand::sib(None, Reg::Rax, 8, 0, Width::B8))],
-        Width::B8,
-    );
-    asm.ins_mem_label(load, 1, "table");
-    asm.ins(ins(Mnemonic::Mov, vec![mem(Reg::Rsi, 0, Width::B8), Operand::reg64(Reg::Rax)], Width::B8));
-    let poison = ins(Mnemonic::Mov, vec![mem(Reg::Rdx, 0, Width::B8), Operand::Imm(0)], Width::B8);
-    asm.ins_imm_label_off(poison, 1, "carrier", 1);
-    asm.ins(ins(Mnemonic::Jmp, vec![mem(Reg::Rsi, 0, Width::B8)], Width::B8));
-    asm.label("t0");
-    asm.ret();
-    asm.label("t1");
-    asm.ret();
-    asm.label("done");
-    asm.ret();
-    asm.label("carrier");
-    asm.ins(ins(Mnemonic::Mov, vec![Operand::reg(Reg::Rax, Width::B4), Operand::Imm(0xc3)], Width::B4));
-    asm.ret();
-    asm.jump_table("table", &["t0", "t1"]);
-    let bin = asm.entry("weird").assemble().expect("assembles");
-    validate_clean(&bin, "weird edge");
+    validate_clean(&hgl_corpus::failures::weird_edge(), "weird edge");
 }
 
 #[test]

@@ -38,26 +38,6 @@ use hgl_x86::{decode, Mnemonic, Reg, RegRef};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// All sixteen GPRs, for final-state comparison.
-const GPRS: [Reg; 16] = [
-    Reg::Rax,
-    Reg::Rcx,
-    Reg::Rdx,
-    Reg::Rbx,
-    Reg::Rsp,
-    Reg::Rbp,
-    Reg::Rsi,
-    Reg::Rdi,
-    Reg::R8,
-    Reg::R9,
-    Reg::R10,
-    Reg::R11,
-    Reg::R12,
-    Reg::R13,
-    Reg::R14,
-    Reg::R15,
-];
-
 /// How a raw differential run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiffStop {
@@ -93,7 +73,7 @@ pub struct RunSummary {
     pub rips: Vec<u64>,
     /// Stop cause.
     pub stop: DiffStop,
-    /// Final GPR values, in [`GPRS`] order.
+    /// Final GPR values, in [`Reg::ALL`] order.
     pub regs: [u64; 16],
     /// Final flags, packed.
     pub flags: (bool, bool, bool, bool, bool, bool),
@@ -183,7 +163,7 @@ pub fn run_raw(bin: &Binary, es: &EntryState, out: Option<&RewriteOutput>, max_s
         .filter(|&(a, _)| !shadow.is_some_and(|s| s.in_shadow(a)))
         .collect();
     let mut regs = [0u64; 16];
-    for (slot, r) in regs.iter_mut().zip(GPRS) {
+    for (slot, r) in regs.iter_mut().zip(Reg::ALL) {
         *slot = m.reg(r);
     }
     let f = &m.flags;
@@ -215,7 +195,7 @@ pub fn compare_runs(orig: &RunSummary, rw: &RunSummary, guarded: bool) -> Option
             rw.rips.len()
         ));
     }
-    for (k, r) in GPRS.iter().enumerate() {
+    for (k, r) in Reg::ALL.iter().enumerate() {
         if guarded && matches!(r, Reg::R10 | Reg::R11) {
             continue;
         }

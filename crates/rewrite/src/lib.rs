@@ -22,8 +22,8 @@
 //!    `jmp rel32` at the function entry and before each `ret` detours
 //!    through out-of-line stubs that maintain a shadow return-address
 //!    ring and `hlt` on mismatch.
-//! 3. **Re-emission** ([`emit`]) — serialise the rewritten loaded view
-//!    back to a runnable ELF64 image.
+//! 3. **Re-emission** ([`elf_image`], from `hgl-elf`) — serialise the
+//!    rewritten loaded view back to a runnable ELF64 image.
 //! 4. **Verification** ([`verify`]) — per-artifact: re-lift the
 //!    identity output and check Hoare-Graph correspondence via
 //!    `hgl_export::correspond`; the differential trace oracle in
@@ -32,7 +32,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod emit;
 pub mod identity;
 pub mod pass;
 pub mod shadow;
@@ -44,7 +43,7 @@ use hgl_elf::Binary;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-pub use emit::elf_image;
+pub use hgl_elf::elf_image;
 pub use pass::{PassContext, RewritePass};
 pub use shadow::ShadowStackPass;
 pub use verify::{verify_relift, ReliftVerdict};
@@ -215,7 +214,7 @@ pub fn rewrite(
     // when a pass runs, once, and the passes share the report; the
     // identity rewrite never reads it.
     if !passes.is_empty() {
-        let report = hgl_analysis::analyze(binary, lift, &hgl_analysis::AnalysisConfig::default());
+        let report = hgl_analysis::analyze(binary, lift);
         let ctx = PassContext { binary, lift, report: &report };
         for p in passes {
             p.apply(&ctx, &mut out)?;

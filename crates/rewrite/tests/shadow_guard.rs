@@ -2,7 +2,7 @@
 //! the lint-unproven returns, benign executions are unchanged modulo
 //! guard frames, and a real return-address corruption traps.
 
-use hgl_analysis::{analyze, AnalysisConfig, Rule};
+use hgl_analysis::{analyze, Rule};
 use hgl_core::Lifter;
 use hgl_corpus::failures::{corrupted_return, CORRUPT_TRIGGER};
 use hgl_corpus::xen::gen_study_binary;
@@ -91,7 +91,7 @@ fn cell_addr(bin: &Binary) -> u64 {
 fn guards_land_exactly_on_lint_unproven_rets() {
     let bin = gen_study_binary(0x5eed_cafe, false);
     let lift = Lifter::new(&bin).lift_all().result;
-    let report = analyze(&bin, &lift, &AnalysisConfig::default());
+    let report = analyze(&bin, &lift);
     let unproven: BTreeSet<u64> = report
         .diags
         .iter()

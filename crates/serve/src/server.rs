@@ -38,9 +38,9 @@ use crate::proto::{
     error_response, one_line, overloaded_response, parse_request, response_head, write_frame, Op,
     Request,
 };
-use hgl_analysis::{analyze, AnalysisConfig, Severity};
+use hgl_analysis::{analyze, Severity};
 use hgl_core::lift::panic_message;
-use hgl_core::{ArtifactStore, LiftConfig, Lifter};
+use hgl_core::{ArtifactStore, Lifter};
 use hgl_elf::Binary;
 use hgl_export::json::write_json_string;
 use hgl_export::{export_json, export_lint_json};
@@ -57,9 +57,20 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Maximum simultaneously served connections; excess connections
+/// receive one `overloaded` frame and are closed.
+const MAX_CONNECTIONS: usize = 256;
+
+/// Watchdog slack past a request's deadline before the server answers
+/// `deadline` on the worker's behalf. Covers the gap between the
+/// engine's own (cooperative) budget checks.
+const WATCHDOG_GRACE: Duration = Duration::from_millis(250);
+
 /// Daemon configuration. The defaults are sized for a shared
-/// development box; every knob exists so the chaos campaign can shrink
-/// the daemon small enough to saturate deterministically.
+/// development box. Tests and the chaos campaign shrink the worker
+/// pool, the queue and the frame cap to saturate the daemon
+/// deterministically; every request is lifted under
+/// [`LiftConfig::default`](hgl_core::LiftConfig).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads executing lift/lint requests (`0` = one per
@@ -67,9 +78,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission-queue capacity; a full queue sheds with `overloaded`.
     pub queue_capacity: usize,
-    /// Maximum simultaneously served connections; excess connections
-    /// receive one `overloaded` frame and are closed.
-    pub max_connections: usize,
     /// Maximum bytes in one JSONL frame; longer frames are rejected
     /// with `bad_request` and the remainder of the line is discarded.
     pub max_frame_bytes: usize,
@@ -77,12 +85,6 @@ pub struct ServeConfig {
     /// client's `deadline_ms`: the effective deadline is the tighter of
     /// the two, so no request lives unbounded even if the client asks.
     pub max_request_wall: Duration,
-    /// Watchdog slack past a request's deadline before the server
-    /// answers `deadline` on the worker's behalf. Covers the gap
-    /// between the engine's own (cooperative) budget checks.
-    pub watchdog_grace: Duration,
-    /// Lifting configuration applied to every request.
-    pub lift: LiftConfig,
     /// Persistent artifact store directory; `None` disables the store.
     pub store_dir: Option<PathBuf>,
     /// Honor the `inject_panic` test hook in requests. Off by default;
@@ -95,11 +97,8 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 0,
             queue_capacity: 64,
-            max_connections: 256,
             max_frame_bytes: 64 << 20,
             max_request_wall: Duration::from_secs(30),
-            watchdog_grace: Duration::from_millis(250),
-            lift: LiftConfig::default(),
             store_dir: None,
             enable_fault_injection: false,
         }
@@ -325,7 +324,7 @@ impl Inner {
             if self.shutting_down.load(Ordering::SeqCst) && listener.set_nonblocking(true).is_err() {
                 return;
             }
-            if self.conn_count.load(Ordering::SeqCst) >= self.config.max_connections {
+            if self.conn_count.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
                 let mut s = stream;
                 let _ = write_frame(&mut s, &overloaded_response("null", self.retry_after_ms()));
                 continue;
@@ -556,7 +555,7 @@ impl Inner {
         self.watch
             .lock()
             .expect("watch lock")
-            .push((deadline + self.config.watchdog_grace, Arc::downgrade(responder)));
+            .push((deadline + WATCHDOG_GRACE, Arc::downgrade(responder)));
     }
 
     /// Fires `deadline` responses for requests that overran their
@@ -746,7 +745,6 @@ impl Inner {
         };
         let started = Instant::now();
         let lifter = Lifter::new(&bin)
-            .with_config(self.config.lift.clone())
             .with_cache(self.cache.clone())
             .with_deadline(deadline);
         let lifter = match &self.store {
@@ -785,7 +783,7 @@ impl Inner {
                 }
             }
             Op::Lint => {
-                let analysis = analyze(&bin, r, &AnalysisConfig::default());
+                let analysis = analyze(&bin, r);
                 fields.push_str(&format!(
                     ",\"diags\":{},\"errors\":{},\"warnings\":{},\"infos\":{}",
                     analysis.diags.len(),

@@ -64,7 +64,6 @@ fn chaos_campaign() {
         max_request_wall: Duration::from_secs(10),
         store_dir: Some(dir.clone()),
         enable_fault_injection: true,
-        ..ServeConfig::default()
     };
     let mut server = Server::bind("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr().to_string();

@@ -32,7 +32,7 @@ use std::fmt;
 
 /// Maximum nesting the decoder will follow in recursive structures
 /// (expressions, memory-model forests). The lifter's own
-/// `max_expr_nodes` keeps real artifacts far below this; the limit
+/// `tau::MAX_EXPR_NODES` keeps real artifacts far below this; the limit
 /// exists so crafted input cannot overflow the stack.
 const MAX_DEPTH: u32 = 512;
 
@@ -573,8 +573,6 @@ fn put_dim(w: &mut Writer, d: BudgetDim) {
     w.u8(match d {
         BudgetDim::WallClock => 0,
         BudgetDim::Fuel => 1,
-        BudgetDim::SolverQueries => 2,
-        BudgetDim::Forks => 3,
         BudgetDim::States => 4,
     });
 }
@@ -583,8 +581,8 @@ fn get_dim(r: &mut Reader<'_>) -> R<BudgetDim> {
     Ok(match r.u8()? {
         0 => BudgetDim::WallClock,
         1 => BudgetDim::Fuel,
-        2 => BudgetDim::SolverQueries,
-        3 => BudgetDim::Forks,
+        // Tags 2 and 3 are retired and must not be reused: they fail
+        // to decode, which the store treats as a miss.
         4 => BudgetDim::States,
         _ => return r.fail("budget-dimension tag"),
     })

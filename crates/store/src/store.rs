@@ -60,7 +60,7 @@ const MAGIC: &[u8; 12] = b"hgl-store\x00\x00\x01";
 const KEY_MAGIC: &[u8] = b"hgl-store-key";
 
 /// Store behaviour knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StoreOptions {
     /// Maximum number of objects kept on disk; inserting past the cap
     /// evicts the oldest objects (by modification time). `None` means
@@ -70,19 +70,12 @@ pub struct StoreOptions {
     /// before returning it (the CLI's `--store-verify`). A replay
     /// counterexample demotes the hit to an invalidation.
     pub verify: bool,
-    /// Sampling configuration for `verify` replays.
-    pub verify_config: ValidateConfig,
 }
 
-impl Default for StoreOptions {
-    fn default() -> StoreOptions {
-        StoreOptions {
-            capacity: None,
-            verify: false,
-            verify_config: ValidateConfig { samples_per_edge: 4, sample_attempts: 32, seed: 0x5eed },
-        }
-    }
-}
+/// Sampling configuration for `verify` replays: lighter than the
+/// validator's default, because it runs on every store hit.
+const VERIFY_CONFIG: ValidateConfig =
+    ValidateConfig { samples_per_edge: 4, sample_attempts: 32, seed: 0x5eed };
 
 /// A persistent, content-addressed store of per-function lift
 /// artifacts rooted at one directory.
@@ -327,7 +320,7 @@ impl ArtifactStore for Store {
         if self.options.verify {
             let mut result = hgl_core::LiftResult::default();
             result.functions.insert(entry, lift.clone());
-            let report = validate_lift(binary, &result, &self.options.verify_config);
+            let report = validate_lift(binary, &result, &VERIFY_CONFIG);
             if !report.all_proven() {
                 return invalid();
             }

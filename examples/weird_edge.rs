@@ -6,56 +6,18 @@
 //! cargo run --example weird_edge
 //! ```
 
-use hgl_asm::Asm;
 use hgl_core::{LiftConfig, Lifter};
 use hgl_core::VertexId;
 use hgl_emu::Machine;
-use hgl_x86::{decode, Cond, Instr, MemOperand, Mnemonic, Operand, Reg, RegRef, Width};
+use hgl_x86::{decode, Reg, RegRef};
 
-fn ins(m: Mnemonic, ops: Vec<Operand>, w: Width) -> Instr {
-    Instr::new(m, ops, w)
-}
-
-fn mem(base: Reg, disp: i64, size: Width) -> Operand {
-    Operand::Mem(MemOperand::base_disp(base, disp, size))
-}
-
+/// The §2 binary and the address of its hidden `ret` gadget.
 fn build() -> (hgl_elf::Binary, u64) {
-    let mut asm = Asm::new();
-    asm.label("weird");
-    // mov eax, edi ; cmp eax, 1 ; ja done      (bounded index)
-    asm.ins(ins(Mnemonic::Mov, vec![Operand::reg(Reg::Rax, Width::B4), Operand::reg(Reg::Rdi, Width::B4)], Width::B4));
-    asm.ins(ins(Mnemonic::Cmp, vec![Operand::reg(Reg::Rax, Width::B4), Operand::Imm(1)], Width::B4));
-    asm.jcc(Cond::A, "done");
-    // mov rax, [table + rax*8]                 (a_jt)
-    let load = ins(
-        Mnemonic::Mov,
-        vec![Operand::reg64(Reg::Rax), Operand::Mem(MemOperand::sib(None, Reg::Rax, 8, 0, Width::B8))],
-        Width::B8,
-    );
-    asm.ins_mem_label(load, 1, "table");
-    // mov [rsi], rax                           (*rsi := a_jt)
-    asm.ins(ins(Mnemonic::Mov, vec![mem(Reg::Rsi, 0, Width::B8), Operand::reg64(Reg::Rax)], Width::B8));
-    // mov qword [rdx], carrier+1               (the §2 `mov [esi], 1`)
-    let poison = ins(Mnemonic::Mov, vec![mem(Reg::Rdx, 0, Width::B8), Operand::Imm(0)], Width::B8);
-    asm.ins_imm_label_off(poison, 1, "carrier", 1);
-    // jmp [rsi]
-    asm.ins(ins(Mnemonic::Jmp, vec![mem(Reg::Rsi, 0, Width::B8)], Width::B8));
-    asm.label("t0");
-    asm.ret();
-    asm.label("t1");
-    asm.ret();
-    asm.label("done");
-    asm.ret();
-    // carrier: "mov eax, 0xc3" hides a `ret` (byte 0xc3) at carrier+1.
-    asm.label("carrier");
-    asm.ins(ins(Mnemonic::Mov, vec![Operand::reg(Reg::Rax, Width::B4), Operand::Imm(0xc3)], Width::B4));
-    asm.ret();
-    asm.jump_table("table", &["t0", "t1"]);
-    let bin = asm.entry("weird").assemble().expect("assembles");
+    let bin = hgl_corpus::failures::weird_edge();
     let seg = &bin.segments.iter().find(|s| s.flags.x && s.covers(bin.entry, 1)).expect("text");
     let pos = seg.bytes.windows(5).position(|w| w == [0xb8, 0xc3, 0x00, 0x00, 0x00]).expect("carrier");
-    (bin.clone(), seg.vaddr + pos as u64 + 1)
+    let gadget = seg.vaddr + pos as u64 + 1;
+    (bin, gadget)
 }
 
 fn main() {
@@ -93,7 +55,7 @@ fn main() {
         m.set_reg(RegRef::full(Reg::Rdi), 0);
         m.set_reg(RegRef::full(Reg::Rsi), rsi);
         m.set_reg(RegRef::full(Reg::Rdx), rdx);
-        for _ in 0..6 {
+        for _ in 0..7 {
             m.step().expect("step");
         }
         println!("  rsi={rsi:#x} rdx={rdx:#x} ({label}): after jmp, rip = {:#x}{}",

@@ -48,7 +48,7 @@
 //! name and a `version` field.
 
 #![forbid(unsafe_code)]
-use hgl_analysis::{analyze, AnalysisConfig, Severity};
+use hgl_analysis::{analyze, Severity};
 use hgl_core::lift::{LiftConfig, LiftResult};
 use hgl_core::{Lifter, MetricsSnapshot};
 use hgl_elf::Binary;
@@ -131,7 +131,7 @@ struct Refinement {
 fn do_lift(binary: &Binary, args: &[String]) -> LiftInvocation {
     let mut config = LiftConfig::default();
     if let Some(t) = parsed_flag(args, "--timeout", |s| s.parse().ok()) {
-        config = config.timeout(Duration::from_secs(t));
+        config.budget.wall_clock = Some(Duration::from_secs(t));
     }
     let workers = parsed_flag(args, "--workers", |s| s.parse().ok()).unwrap_or(0usize);
     let store = flag_value(args, "--store").map(|dir| {
@@ -152,7 +152,7 @@ fn do_lift(binary: &Binary, args: &[String]) -> LiftInvocation {
         lifter = lifter.with_store(store);
     }
     let refine = args.iter().any(|a| a == "--refine-indirect");
-    let resolver = hgl_analysis::VsaResolver::default();
+    let resolver = hgl_analysis::VsaResolver;
     const REFINE_ROUNDS: usize = 8;
     if args.iter().any(|a| a == "--all") {
         if refine {
@@ -490,7 +490,7 @@ fn main() -> ExitCode {
         }
         "lint" => {
             let result = do_lift(&binary, &args).result;
-            let report = analyze(&binary, &result, &AnalysisConfig::default());
+            let report = analyze(&binary, &result);
             if args.iter().any(|a| a == "--json") {
                 print!("{}", export_lint_json(&report));
             } else {

@@ -15,7 +15,7 @@
 use hoare_lift::core::lift::LiftResult;
 use hoare_lift::core::Lifter;
 use hoare_lift::core::VertexId;
-use hoare_lift::corpus::coreutils;
+use hoare_lift::corpus::{coreutils, failures};
 use hoare_lift::corpus::xen::{build_study, ExpectedOutcome, StudySpec, UnitKind};
 use hoare_lift::elf::Binary;
 use hoare_lift::emu::{Event, Machine};
@@ -154,35 +154,7 @@ fn xen_unit_traces_covered() {
 /// the aliased pointers is covered too.
 #[test]
 fn weird_trace_covered() {
-    use hoare_lift::asm::Asm;
-    use hoare_lift::x86::{Cond, Instr, MemOperand, Operand, Width};
-    let ins = Instr::new;
-    let mut asm = Asm::new();
-    asm.label("weird");
-    asm.ins(ins(Mnemonic::Mov, vec![Operand::reg(Reg::Rax, Width::B4), Operand::reg(Reg::Rdi, Width::B4)], Width::B4));
-    asm.ins(ins(Mnemonic::Cmp, vec![Operand::reg(Reg::Rax, Width::B4), Operand::Imm(1)], Width::B4));
-    asm.jcc(Cond::A, "done");
-    let load = ins(
-        Mnemonic::Mov,
-        vec![Operand::reg64(Reg::Rax), Operand::Mem(MemOperand::sib(None, Reg::Rax, 8, 0, Width::B8))],
-        Width::B8,
-    );
-    asm.ins_mem_label(load, 1, "table");
-    asm.ins(ins(Mnemonic::Mov, vec![Operand::Mem(MemOperand::base_disp(Reg::Rsi, 0, Width::B8)), Operand::reg64(Reg::Rax)], Width::B8));
-    let poison = ins(Mnemonic::Mov, vec![Operand::Mem(MemOperand::base_disp(Reg::Rdx, 0, Width::B8)), Operand::Imm(0)], Width::B8);
-    asm.ins_imm_label_off(poison, 1, "carrier", 1);
-    asm.ins(ins(Mnemonic::Jmp, vec![Operand::Mem(MemOperand::base_disp(Reg::Rsi, 0, Width::B8))], Width::B8));
-    asm.label("t0");
-    asm.ret();
-    asm.label("t1");
-    asm.ret();
-    asm.label("done");
-    asm.ret();
-    asm.label("carrier");
-    asm.ins(ins(Mnemonic::Mov, vec![Operand::reg(Reg::Rax, Width::B4), Operand::Imm(0xc3)], Width::B4));
-    asm.ret();
-    asm.jump_table("table", &["t0", "t1"]);
-    let bin = asm.entry("weird").assemble().expect("assembles");
+    let bin = failures::weird_edge();
     let result = Lifter::new(&bin).lift_entry(bin.entry);
     assert!(result.is_lifted());
 

@@ -17,7 +17,7 @@
 
 use hoare_lift::analysis::lints::lint_reachability;
 use hoare_lift::analysis::{
-    analyze, AnalysisConfig, AnalysisReport, ClassifiedWrite, Rule, Severity, WriteClass, ANALYSES,
+    analyze, AnalysisReport, ClassifiedWrite, Rule, Severity, WriteClass, ANALYSES,
 };
 use hoare_lift::asm::Asm;
 use hoare_lift::core::Lifter;
@@ -33,7 +33,7 @@ use std::time::Duration;
 
 fn analyzed(bin: &Binary) -> AnalysisReport {
     let lifted = Lifter::new(bin).lift_entry(bin.entry);
-    analyze(bin, &lifted, &AnalysisConfig::default())
+    analyze(bin, &lifted)
 }
 
 /// Rules that produced at least one diagnostic, any severity.
@@ -60,7 +60,7 @@ fn all_analyses_cover_every_corpus_binary() {
     for (spec, bin) in coreutils::build_all(1) {
         let lifted = Lifter::new(&bin).lift_entry(bin.entry);
         assert!(lifted.is_lifted(), "{}: corpus binary lifts", spec.name);
-        let report = analyze(&bin, &lifted, &AnalysisConfig::default());
+        let report = analyze(&bin, &lifted);
 
         assert!(!report.functions.is_empty(), "{}: functions analyzed", spec.name);
         assert_eq!(

@@ -82,7 +82,7 @@ fn masked_table_binary(n: usize) -> hoare_lift::elf::Binary {
 fn correct_claims_are_confirmed_by_traces() {
     let bin = masked_table_binary(4);
     let mut lifter = Lifter::new(&bin);
-    let refined = lifter.lift_entry_refined(bin.entry, &VsaResolver::default(), 4);
+    let refined = lifter.lift_entry_refined(bin.entry, &VsaResolver, 4);
     assert!(refined.converged);
     assert!(!refined.hints.is_empty());
 
@@ -157,7 +157,7 @@ fn reentrant_dispatch_binary() -> (Binary, u64) {
 fn hinted_jump_bounds_are_revalidated_on_grown_graph() {
     let (bin, join) = reentrant_dispatch_binary();
     let mut lifter = Lifter::new(&bin);
-    let refined = lifter.lift_entry_refined(bin.entry, &VsaResolver::default(), 8);
+    let refined = lifter.lift_entry_refined(bin.entry, &VsaResolver, 8);
     assert!(refined.converged, "fixpoint must converge");
     assert!(refined.demoted.is_empty(), "nothing should be demoted: {:?}", refined.demoted);
     assert_eq!(refined.hints.len(), 1);
@@ -221,7 +221,7 @@ fn demoted_hints_are_withdrawn_and_not_readmitted() {
     let base = lifter.lift_entry(bin.entry);
     let (_, b0, _) = base.indirection_counts();
     assert!(b0 >= 1);
-    let seed = VsaResolver::default().resolve(&bin, &base, &BTreeMap::new());
+    let seed = VsaResolver.resolve(&bin, &base, &BTreeMap::new());
     let (&jump, targets) = seed.resolved.iter().next().expect("one resolvable jump");
     let &target = targets.iter().next().expect("targets");
 
@@ -251,7 +251,7 @@ fn demoted_hints_are_withdrawn_and_not_readmitted() {
 fn corrupted_claims_are_refuted() {
     let bin = masked_table_binary(4);
     let mut lifter = Lifter::new(&bin);
-    let refined = lifter.lift_entry_refined(bin.entry, &VsaResolver::default(), 4);
+    let refined = lifter.lift_entry_refined(bin.entry, &VsaResolver, 4);
     assert!(refined.converged);
     let (&jmp_addr, targets) = refined.hints.iter().next().expect("one claim");
 
