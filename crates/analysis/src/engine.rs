@@ -177,9 +177,9 @@ mod tests {
         let mut g = HoareGraph::new();
         let s = SymState::function_entry(0x10);
         for a in [0x10u64, 0x11, 0x12, 0x13, 0x99] {
-            g.add_vertex(VertexId::At(a, 0), s.clone(), true);
+            g.add_vertex(VertexId::At(a, 0), s.clone());
         }
-        g.add_vertex(VertexId::Exit, s.clone(), true);
+        g.add_vertex(VertexId::Exit, s.clone());
         g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x11, 0), nop_at(0x10));
         g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x12, 0), nop_at(0x10));
         g.add_edge(VertexId::At(0x11, 0), VertexId::At(0x13, 0), nop_at(0x11));

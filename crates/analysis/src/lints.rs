@@ -224,12 +224,12 @@ mod tests {
     fn dead_node_fires_on_orphan() {
         let mut g = HoareGraph::new();
         let s = SymState::function_entry(0x10);
-        g.add_vertex(VertexId::At(0x10, 0), s.clone(), true);
-        g.add_vertex(VertexId::At(0x99, 0), s.clone(), true);
+        g.add_vertex(VertexId::At(0x10, 0), s.clone());
+        g.add_vertex(VertexId::At(0x99, 0), s.clone());
         let mut i = Instr::new(Mnemonic::Nop, vec![], Width::B8);
         i.addr = 0x10;
         i.len = 1;
-        g.add_vertex(VertexId::Exit, s, true);
+        g.add_vertex(VertexId::Exit, s);
         g.add_edge(VertexId::At(0x10, 0), VertexId::Exit, i);
         let out = lint_reachability(0x10, &g, 10_000);
         assert_eq!(out.diags.len(), 1);
@@ -243,7 +243,7 @@ mod tests {
     fn stack_depth_bounded_function_is_quiet() {
         // Entry state alone: rsp == rsp0 everywhere, depth 0.
         let mut g = HoareGraph::new();
-        g.add_vertex(VertexId::At(0x10, 0), SymState::function_entry(0x10), true);
+        g.add_vertex(VertexId::At(0x10, 0), SymState::function_entry(0x10));
         let out = lint_stack_depth(0x10, &g, 1 << 20, 10_000);
         assert!(out.diags.is_empty());
         assert_eq!(out.max_depth, Some(0));

@@ -220,9 +220,9 @@ mod tests {
         // delta path.
         let mut sym = s.clone();
         sym.pred.set_reg(Reg::Rsp, hgl_expr::Expr::bottom());
-        g.add_vertex(VertexId::At(0x10, 0), s, true);
-        g.add_vertex(VertexId::At(0x11, 0), sym.clone(), true);
-        g.add_vertex(VertexId::At(0x12, 0), sym, true);
+        g.add_vertex(VertexId::At(0x10, 0), s);
+        g.add_vertex(VertexId::At(0x11, 0), sym.clone());
+        g.add_vertex(VertexId::At(0x12, 0), sym);
         g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x11, 0), instr(Mnemonic::Push, vec![], 0x10));
         g.add_edge(VertexId::At(0x11, 0), VertexId::At(0x12, 0), instr(Mnemonic::Push, vec![], 0x11));
         let sol = fixpoint(&g, &StackDepth { graph: &g, entry: 0x10 }, 10_000);

@@ -1,6 +1,6 @@
 //! The per-binary analysis driver and its report.
 
-use crate::diag::{Diag, Rule, Severity};
+use crate::diag::{Diag, Severity};
 use crate::engine::MAX_ITERATIONS;
 use crate::lints::{lint_callee_saved, lint_reachability, lint_ret_slot, lint_stack_depth};
 use crate::writes::{classify_writes, ClassifiedWrite, WriteTotals};
@@ -56,11 +56,6 @@ impl AnalysisReport {
     /// Diagnostics of a given severity.
     pub fn count(&self, severity: Severity) -> usize {
         self.diags.iter().filter(|d| d.severity == severity).count()
-    }
-
-    /// Diagnostics belonging to one rule.
-    pub fn for_rule(&self, rule: Rule) -> impl Iterator<Item = &Diag> {
-        self.diags.iter().filter(move |d| d.rule == rule)
     }
 }
 

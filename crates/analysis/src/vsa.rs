@@ -940,7 +940,7 @@ mod tests {
         let mut g = HoareGraph::new();
         let s = SymState::function_entry(0x10);
         for a in [0x10u64, 0x12, 0x14] {
-            g.add_vertex(VertexId::At(a, 0), s.clone(), true);
+            g.add_vertex(VertexId::At(a, 0), s.clone());
         }
         g.add_edge(
             VertexId::At(0x10, 0),
@@ -966,7 +966,7 @@ mod tests {
         let mut g = HoareGraph::new();
         let s = SymState::function_entry(0x10);
         for a in [0x10u64, 0x14, 0x16, 0x40] {
-            g.add_vertex(VertexId::At(a, 0), s.clone(), true);
+            g.add_vertex(VertexId::At(a, 0), s.clone());
         }
         // 0x10: mov rax, 20 ; then clamp comes only from the branch.
         g.add_edge(
@@ -997,7 +997,7 @@ mod tests {
         let mut g = HoareGraph::new();
         let s = SymState::function_entry(0x10);
         for a in [0x10u64, 0x14, 0x18, 0x40] {
-            g.add_vertex(VertexId::At(a, 0), s.clone(), true);
+            g.add_vertex(VertexId::At(a, 0), s.clone());
         }
         g.add_edge(
             VertexId::At(0x10, 0),
@@ -1033,7 +1033,7 @@ mod tests {
         let mut g = HoareGraph::new();
         let s = SymState::function_entry(0x10);
         for a in [0x10u64, 0x12, 0x14, 0x16, 0x40] {
-            g.add_vertex(VertexId::At(a, 0), s.clone(), true);
+            g.add_vertex(VertexId::At(a, 0), s.clone());
         }
         g.add_edge(
             VertexId::At(0x10, 0),
@@ -1095,8 +1095,8 @@ mod tests {
     fn push_clobbers_overlapping_slots() {
         let mut g = HoareGraph::new();
         let s = SymState::function_entry(0x10);
-        g.add_vertex(VertexId::At(0x10, 0), s.clone(), true);
-        g.add_vertex(VertexId::At(0x12, 0), s, true);
+        g.add_vertex(VertexId::At(0x10, 0), s.clone());
+        g.add_vertex(VertexId::At(0x12, 0), s);
         let push = instr_at(Mnemonic::Push, vec![Operand::Imm(7)], Width::B8, 0x10);
         g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x12, 0), push);
         let pass = VsaPass { graph: &g, entry: 0x10 };
@@ -1117,7 +1117,7 @@ mod tests {
         let mut g = HoareGraph::new();
         let s = SymState::function_entry(0x10);
         for a in [0x10u64, 0x12, 0x14, 0x16] {
-            g.add_vertex(VertexId::At(a, 0), s.clone(), true);
+            g.add_vertex(VertexId::At(a, 0), s.clone());
         }
         g.add_edge(
             VertexId::At(0x10, 0),
@@ -1159,8 +1159,8 @@ mod tests {
         env.last_cmp = Some((Reg::Rax, 0, Width::B8));
         let mut g = HoareGraph::new();
         let s = SymState::function_entry(0x10);
-        g.add_vertex(VertexId::At(0x10, 0), s.clone(), true);
-        g.add_vertex(VertexId::At(0x15, 0), s, true);
+        g.add_vertex(VertexId::At(0x10, 0), s.clone());
+        g.add_vertex(VertexId::At(0x15, 0), s);
         let call = instr_at(Mnemonic::Call, vec![Operand::Imm(0x100)], Width::B8, 0x10);
         g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x15, 0), call);
         let pass = VsaPass { graph: &g, entry: 0x10 };

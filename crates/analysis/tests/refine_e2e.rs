@@ -63,12 +63,22 @@ fn masked_table_binary(n: usize) -> hgl_elf::Binary {
     asm.assemble().expect("assembles")
 }
 
+/// How a table dispatch reaches its slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// `jmp [table + rax*8]`.
+    JmpMem,
+    /// `mov rax, [table + rax*8]; jmp rax`. `recover_jumps` reads only
+    /// a memory operand, so only the lifter resolves this shape.
+    LoadThenJmp,
+}
+
 /// A jump table of `slots` entries behind `cmp rax, slots-1; ja default`,
 /// the shape of `scenarios.rs::jump_table_resolved` with a 64-bit
 /// index (the value-set analysis refines a 32-bit compare only when
 /// the register is already known to fit in 32 bits). Slot `i` points at
 /// `case_{i % 4}`: the cap counts slots, not distinct targets.
-fn bounded_table_binary(slots: usize) -> hgl_elf::Binary {
+fn bounded_table_binary(slots: usize, shape: Shape) -> hgl_elf::Binary {
     let mut asm = Asm::new();
     asm.label("dispatch");
     asm.ins(ins(Mnemonic::Mov, vec![Operand::reg64(Reg::Rax), Operand::reg64(Reg::Rdi)], Width::B8));
@@ -78,12 +88,17 @@ fn bounded_table_binary(slots: usize) -> hgl_elf::Binary {
         Width::B8,
     ));
     asm.jcc(Cond::A, "default");
-    let jmp = ins(
-        Mnemonic::Jmp,
-        vec![Operand::Mem(MemOperand::sib(None, Reg::Rax, 8, 0, Width::B8))],
-        Width::B8,
-    );
-    asm.ins_mem_label(jmp, 0, "table");
+    let slot = Operand::Mem(MemOperand::sib(None, Reg::Rax, 8, 0, Width::B8));
+    match shape {
+        Shape::JmpMem => {
+            asm.ins_mem_label(ins(Mnemonic::Jmp, vec![slot], Width::B8), 0, "table");
+        }
+        Shape::LoadThenJmp => {
+            let load = ins(Mnemonic::Mov, vec![Operand::reg64(Reg::Rax), slot], Width::B8);
+            asm.ins_mem_label(load, 1, "table");
+            asm.ins(ins(Mnemonic::Jmp, vec![Operand::reg64(Reg::Rax)], Width::B8));
+        }
+    }
     for i in 0..4 {
         asm.label(&format!("case_{i}"));
         asm.ins(ins(Mnemonic::Mov, vec![reg32(Reg::Rax), Operand::Imm(10 + i)], Width::B4));
@@ -99,17 +114,24 @@ fn bounded_table_binary(slots: usize) -> hgl_elf::Binary {
 }
 
 /// A table of exactly `MAX_JUMP_TABLE` slots: the lifter resolves the
-/// jump inline, and the value-set recovery bounds it too.
+/// jump inline in both shapes, and the value-set recovery bounds it
+/// too.
 #[test]
 fn jump_table_at_the_cap_resolves() {
-    let bin = bounded_table_binary(MAX_JUMP_TABLE as usize);
-    let lifted = Lifter::new(&bin).lift_entry(bin.entry);
-    assert!(lifted.is_lifted(), "reject: {:?}", lifted.reject_reason());
-    let f = &lifted.functions[&bin.entry];
-    assert_eq!(f.resolved_indirections, 1, "the jump table is resolved");
-    assert!(f.annotations.is_empty(), "no unresolved indirections: {:?}", f.annotations);
-    assert!(f.returns);
+    let resolved = |shape| {
+        let bin = bounded_table_binary(MAX_JUMP_TABLE as usize, shape);
+        let lifted = Lifter::new(&bin).lift_entry(bin.entry);
+        assert!(lifted.is_lifted(), "{shape:?}: reject: {:?}", lifted.reject_reason());
+        let f = &lifted.functions[&bin.entry];
+        assert_eq!(f.resolved_indirections, 1, "{shape:?}: the jump table is resolved");
+        assert!(f.annotations.is_empty(), "{shape:?}: unresolved: {:?}", f.annotations);
+        assert!(f.returns, "{shape:?}");
+        (bin, lifted)
+    };
+    resolved(Shape::LoadThenJmp);
 
+    let (bin, lifted) = resolved(Shape::JmpMem);
+    let f = &lifted.functions[&bin.entry];
     let jmp = f
         .graph
         .instructions()
@@ -122,21 +144,27 @@ fn jump_table_at_the_cap_resolves() {
     assert_eq!(rec.resolved.get(&jmp).map(BTreeSet::len), Some(4), "four distinct cases");
 }
 
-/// One slot past the cap: the lifter annotates the jump, and the
-/// value-set recovery refuses the same table, so `VsaResolver`
-/// proposes no hint.
+/// One slot past the cap: the lifter annotates the jump in both
+/// shapes, and the value-set recovery refuses the same table, so
+/// `VsaResolver` proposes no hint.
 #[test]
 fn jump_table_past_the_cap_stays_unresolved() {
-    let bin = bounded_table_binary(MAX_JUMP_TABLE as usize + 1);
-    let lifted = Lifter::new(&bin).lift_entry(bin.entry);
-    assert!(lifted.is_lifted(), "reject: {:?}", lifted.reject_reason());
-    let f = &lifted.functions[&bin.entry];
-    assert_eq!(f.resolved_indirections, 0);
-    let jmp = match f.annotations[..] {
-        [Annotation::UnresolvedJump { addr, .. }] => addr,
-        _ => panic!("expected one unresolved jump: {:?}", f.annotations),
+    let unresolved = |shape| {
+        let bin = bounded_table_binary(MAX_JUMP_TABLE as usize + 1, shape);
+        let lifted = Lifter::new(&bin).lift_entry(bin.entry);
+        assert!(lifted.is_lifted(), "{shape:?}: reject: {:?}", lifted.reject_reason());
+        let f = &lifted.functions[&bin.entry];
+        assert_eq!(f.resolved_indirections, 0, "{shape:?}");
+        let jmp = match f.annotations[..] {
+            [Annotation::UnresolvedJump { addr, .. }] => addr,
+            _ => panic!("{shape:?}: expected one unresolved jump: {:?}", f.annotations),
+        };
+        (bin, lifted, jmp)
     };
+    unresolved(Shape::LoadThenJmp);
 
+    let (bin, lifted, jmp) = unresolved(Shape::JmpMem);
+    let f = &lifted.functions[&bin.entry];
     let rec = recover_jumps(&bin, bin.entry, &f.graph, &[jmp]);
     assert!(rec.resolved.is_empty(), "{:?}", rec.resolved);
     assert_eq!(rec.unbounded.len(), 1);

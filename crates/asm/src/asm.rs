@@ -229,11 +229,6 @@ impl Asm {
         self
     }
 
-    /// Names of the external functions referenced so far.
-    pub fn external_names(&self) -> &[String] {
-        &self.externals
-    }
-
     /// Number of text items (labels and instructions) appended so far.
     ///
     /// Item indices are stable: they identify the same item across

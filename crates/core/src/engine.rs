@@ -24,10 +24,10 @@
 //! scheduling or on which roots the run started from. A lift with N
 //! workers is therefore byte-identical to one with one worker, and
 //! `lift_entry` gives every function of its closure the graph
-//! `lift_all` gives it, *except* when a global budget dimension (wall
-//! clock, solver queries, forks) trips mid-round: exhaustion points
-//! depend on timing by nature. The tests in `tests/engine.rs` pin the
-//! unlimited-budget guarantees.
+//! `lift_all` gives it, *except* when the global budget (the wall
+//! clock) trips mid-round: exhaustion points depend on timing by
+//! nature. The tests in `tests/engine.rs` pin the unlimited-budget
+//! guarantees.
 //!
 //! # Memoization soundness
 //!
@@ -478,8 +478,8 @@ impl<'b> Lifter<'b> {
             limits: &self.config.limits,
             budget: &self.config.budget,
             meter,
-            cache: Some(&self.cache),
-            metrics: Some(&self.metrics),
+            cache: &self.cache,
+            metrics: &self.metrics,
         };
         let items: Vec<(u64, FnSlot)> = runnable
             .iter()

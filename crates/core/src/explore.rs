@@ -17,8 +17,8 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// Everything one exploration step needs from its surroundings: the
-/// binary, the configuration, the shared wall-clock meter, and the
-/// optional solver cache and metrics sink. Bundling these keeps
+/// binary, the configuration, the shared wall-clock meter, the solver
+/// cache and the metrics sink. Bundling these keeps
 /// [`FnExploration::run`]'s signature stable as the pipeline grows
 /// cross-cutting services.
 #[derive(Clone, Copy)]
@@ -36,46 +36,24 @@ pub struct ExploreCx<'a> {
     pub budget: &'a Budget,
     /// The lift's wall-clock deadline.
     pub meter: &'a BudgetMeter,
-    /// Shared solver-query memo table, if the caller runs one.
-    pub cache: Option<&'a Arc<QueryCache>>,
-    /// Metrics sink, if the caller collects phase timings.
-    pub metrics: Option<&'a Metrics>,
-}
-
-/// Time `f` under `phase` when a metrics sink is present; otherwise
-/// run it untimed.
-fn timed<T>(metrics: Option<&Metrics>, phase: Phase, f: impl FnOnce() -> T) -> T {
-    match metrics {
-        Some(m) => m.time(phase, f),
-        None => f(),
-    }
+    /// Shared solver-query memo table.
+    pub cache: &'a Arc<QueryCache>,
+    /// Metrics sink for phase timings.
+    pub metrics: &'a Metrics,
 }
 
 /// Chained phase timing for the solver→decode→tau sequence that runs
 /// once per instruction: one timestamp per phase *boundary* instead of
-/// two per phase. `stamp` opens the chain; each `lap` charges the time
-/// since the previous boundary to `phase` and becomes the next
-/// boundary. The few instructions of bookkeeping between phases
-/// (window fetch, extent insert, step-context setup) are charged to
-/// the following phase — negligible against halving the clock calls
-/// on the hot path.
-fn stamp(metrics: Option<&Metrics>) -> Option<std::time::Instant> {
-    metrics.map(|_| std::time::Instant::now())
-}
-
-fn lap(
-    metrics: Option<&Metrics>,
-    phase: Phase,
-    prev: Option<std::time::Instant>,
-) -> Option<std::time::Instant> {
-    match (metrics, prev) {
-        (Some(m), Some(t)) => {
-            let now = std::time::Instant::now();
-            m.record(phase, now.duration_since(t));
-            Some(now)
-        }
-        _ => None,
-    }
+/// two per phase. The chain opens with one `Instant::now()`; each
+/// `lap` charges the time since the previous boundary to `phase` and
+/// becomes the next boundary. The few instructions of bookkeeping
+/// between phases (window fetch, extent insert, step-context setup)
+/// are charged to the following phase — negligible against halving
+/// the clock calls on the hot path.
+fn lap(metrics: &Metrics, phase: Phase, prev: std::time::Instant) -> std::time::Instant {
+    let now = std::time::Instant::now();
+    metrics.record(phase, now.duration_since(prev));
+    now
 }
 
 /// The immediate code pointer `e` holds, if any.
@@ -363,7 +341,7 @@ impl FnExploration {
                 // One plain join decides line 4 (`state ⊑ existing` is
                 // `state ⊔ existing == existing`, as in `SymState::leq`)
                 // and is the new vertex state unless widening is due.
-                let joined = timed(cx.metrics, Phase::Join, || {
+                let joined = cx.metrics.time(Phase::Join, || {
                     let joined = state.join(existing, false);
                     if joined == *existing {
                         return None;
@@ -381,13 +359,13 @@ impl FnExploration {
                 // unify); re-signing keeps the index exact should a
                 // join ever drop one.
                 sigs[i] = Self::signature(binary, &joined, refine);
-                self.graph.add_vertex(vid, joined.clone(), true);
+                self.graph.add_vertex(vid, joined.clone());
                 (vid, joined)
             }
             None => {
                 let vid = at(sigs.len());
                 sigs.push(sig);
-                self.graph.add_vertex(vid, state.clone(), true);
+                self.graph.add_vertex(vid, state.clone());
                 if let Some((src, instr)) = from {
                     // A vertex created by this step has no incoming
                     // edge yet, so this one cannot be a duplicate:
@@ -401,7 +379,7 @@ impl FnExploration {
         // Vacuous states (contradictory path clauses) represent no
         // concrete states; exploring them wastes effort and can poison
         // interval reasoning. Prune.
-        let t = stamp(cx.metrics);
+        let t = std::time::Instant::now();
         let sat_check = hgl_solver::Ctx::from_clauses(state.pred.clauses.iter(), Arc::clone(layout));
         let t = lap(cx.metrics, Phase::Solver, t);
         if sat_check.is_unsat() {
@@ -422,9 +400,7 @@ impl FnExploration {
                 // outcome — record the window so the artifact store can
                 // detect when the bytes change.
                 self.extent.insert((addr, window.len().min(u8::MAX as usize) as u8));
-                if let Some(m) = cx.metrics {
-                    m.count_decode_reject(e.reject_key());
-                }
+                cx.metrics.count_decode_reject(e.reject_key());
                 self.rejected =
                     Some(VerificationError::Undecodable { addr, message: e.to_string() });
                 return;
@@ -440,7 +416,7 @@ impl FnExploration {
             indirect_hints,
             fresh: &mut self.fresh,
             diags: &mut self.diags,
-            cache: cx.cache.cloned(),
+            cache: cx.cache,
             metrics: cx.metrics,
         };
         let stepped = step(&mut ctx, state, &instr, self.entry);
@@ -466,10 +442,10 @@ impl FnExploration {
                 Successor::Return(s) => {
                     // All return paths share the Exit vertex: join.
                     let joined = match self.graph.vertices.get(&VertexId::Exit) {
-                        Some(v) => timed(cx.metrics, Phase::Join, || s.join(&v.state, false)),
+                        Some(v) => cx.metrics.time(Phase::Join, || s.join(&v.state, false)),
                         None => s,
                     };
-                    self.graph.add_vertex(VertexId::Exit, joined, true);
+                    self.graph.add_vertex(VertexId::Exit, joined);
                     self.graph.add_edge(vid, VertexId::Exit, instr.clone());
                     self.returns = true;
                 }

@@ -30,14 +30,15 @@ impl fmt::Display for VertexId {
 }
 
 /// A vertex: a symbolic state (predicate × memory model).
+///
+/// Every vertex is reachable. §4.2.2's reachability marking is the
+/// exploration's pending-return mechanism: a call's return site gets a
+/// vertex only once the callee provably returns
+/// ([`PendingReturn`](crate::explore::PendingReturn)).
 #[derive(Debug, Clone)]
 pub struct Vertex {
     /// The invariant at this program point.
     pub state: SymState,
-    /// Whether the vertex is known reachable (§4.2.2's reachability
-    /// marking; return sites of calls become reachable only once the
-    /// callee provably returns).
-    pub reachable: bool,
 }
 
 /// An edge: a Hoare triple `{pre} instr {post}` where `pre`/`post` are
@@ -106,11 +107,6 @@ impl HoareGraph {
         self.edges.iter().filter(move |e| e.to == id)
     }
 
-    /// The vertex ids of the function entry address.
-    pub fn entry_vertices(&self, entry: u64) -> Vec<VertexId> {
-        self.vertices_at(entry)
-    }
-
     /// The distinct instructions labelling edges, by address.
     pub fn instructions(&self) -> BTreeMap<u64, &Instr> {
         let mut out = BTreeMap::new();
@@ -121,8 +117,8 @@ impl HoareGraph {
     }
 
     /// Store `state` at vertex `id`, replacing any state it held.
-    pub fn add_vertex(&mut self, id: VertexId, state: SymState, reachable: bool) {
-        self.vertices.insert(id, Vertex { state, reachable });
+    pub fn add_vertex(&mut self, id: VertexId, state: SymState) {
+        self.vertices.insert(id, Vertex { state });
     }
 
     /// Add an edge.
@@ -163,9 +159,9 @@ mod tests {
     #[test]
     fn counts() {
         let mut g = HoareGraph::new();
-        g.add_vertex(VertexId::At(0x10, 0), SymState::function_entry(0x10), true);
-        g.add_vertex(VertexId::At(0x11, 0), SymState::function_entry(0x10), true);
-        g.add_vertex(VertexId::At(0x11, 1), SymState::function_entry(0x10), true);
+        g.add_vertex(VertexId::At(0x10, 0), SymState::function_entry(0x10));
+        g.add_vertex(VertexId::At(0x11, 0), SymState::function_entry(0x10));
+        g.add_vertex(VertexId::At(0x11, 1), SymState::function_entry(0x10));
         g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x11, 0), nop_at(0x10));
         g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x11, 1), nop_at(0x10));
         // 0x10 has an outgoing edge; 0x11's vertices also count.
@@ -180,10 +176,10 @@ mod tests {
         let mut g = HoareGraph::new();
         for addr in [0x10, 0x11, 0x12, u64::MAX] {
             for variant in [0, 1, 3, u32::MAX] {
-                g.add_vertex(VertexId::At(addr, variant), SymState::function_entry(0x10), true);
+                g.add_vertex(VertexId::At(addr, variant), SymState::function_entry(0x10));
             }
         }
-        g.add_vertex(VertexId::Exit, SymState::function_entry(0x10), true);
+        g.add_vertex(VertexId::Exit, SymState::function_entry(0x10));
         for addr in [0, 0x10, 0x11, 0x12, 0x13, u64::MAX] {
             let scanned: Vec<VertexId> = g
                 .vertices

@@ -146,11 +146,6 @@ impl MemModel {
         self.trees.iter().any(|t| tree_has(t, r))
     }
 
-    /// Number of regions in the model.
-    pub fn region_count(&self) -> usize {
-        self.all_regions().len()
-    }
-
     /// The relation the model structure itself asserts between two
     /// regions it contains, if any (used before consulting the solver,
     /// so that *assumed* relations from earlier forks stay in force).

@@ -1,7 +1,7 @@
 //! Phase-level pipeline metrics.
 //!
-//! The ROADMAP's north star is a system "as fast as the hardware
-//! allows"; this module is the instrument that makes speed claims
+//! The ROADMAP asks that every speed claim be measured, end to end and
+//! layer by layer; this module is the instrument that makes such claims
 //! checkable. A [`Metrics`] sink is threaded through the lifting
 //! pipeline and accumulates, per [`Phase`], wall time and invocation
 //! counts, plus binary-level gauges (states, instructions, functions)

@@ -94,13 +94,6 @@ pub struct RefinedLift {
     pub demoted: BTreeSet<u64>,
 }
 
-impl RefinedLift {
-    /// Total targets across all hints.
-    pub fn hinted_targets(&self) -> usize {
-        self.hints.values().map(|s| s.len()).sum()
-    }
-}
-
 /// Merge `proposed` into `hints`; true if anything new appeared.
 pub(crate) fn merge_hints(
     hints: &mut BTreeMap<u64, BTreeSet<u64>>,

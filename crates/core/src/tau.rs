@@ -11,7 +11,7 @@ use crate::diag::{Annotation, Diagnostics, ProofObligation, VerificationError};
 use crate::memmodel::InsBranch;
 use crate::pred::{FlagState, Pred, Shared, SymState};
 use hgl_elf::Binary;
-use hgl_expr::{Clause, Expr, Rel, Sym};
+use hgl_expr::{Clause, Expr, Linear, Rel, Sym};
 use hgl_solver::{Ctx, Layout, Provenance, Region, RegionRel};
 use hgl_x86::{Cond, Instr, MemOperand, Mnemonic, Operand, Reg, RegRef, RepPrefix, Width};
 use std::collections::{BTreeMap, BTreeSet};
@@ -45,10 +45,10 @@ pub struct StepCtx<'a> {
     /// Diagnostics sink.
     pub diags: &'a mut Diagnostics,
     /// Shared solver-query memo table, attached to every solver
-    /// context this step constructs. `None` outside an engine session.
-    pub cache: Option<std::sync::Arc<hgl_solver::QueryCache>>,
-    /// Metrics sink for phase timings. `None` disables timing.
-    pub metrics: Option<&'a crate::metrics::Metrics>,
+    /// context this step constructs.
+    pub cache: &'a std::sync::Arc<hgl_solver::QueryCache>,
+    /// Metrics sink for phase timings.
+    pub metrics: &'a crate::metrics::Metrics,
 }
 
 impl<'a> StepCtx<'a> {
@@ -59,15 +59,11 @@ impl<'a> StepCtx<'a> {
     }
 
     fn solver_ctx(&self, pred: &Pred) -> Ctx {
-        let build = || Ctx::from_clauses(pred.clauses.iter(), std::sync::Arc::clone(&self.layout));
-        let ctx = match self.metrics {
-            Some(m) => m.time(crate::metrics::Phase::Solver, build),
-            None => build(),
-        };
-        match &self.cache {
-            Some(cache) => ctx.with_cache(std::sync::Arc::clone(cache)),
-            None => ctx,
-        }
+        self.metrics
+            .time(crate::metrics::Phase::Solver, || {
+                Ctx::from_clauses(pred.clauses.iter(), std::sync::Arc::clone(&self.layout))
+            })
+            .with_cache(std::sync::Arc::clone(self.cache))
     }
 }
 
@@ -928,7 +924,7 @@ where
 }
 
 /// Resolve `jmp` successors: direct, return-symbol, bounded jump
-/// table, or annotation.
+/// table, refinement hint, or annotation.
 fn resolve_branch(
     ctx: &mut StepCtx<'_>,
     mut s: SymState,
@@ -936,11 +932,7 @@ fn resolve_branch(
     entry: u64,
     out: &mut Vec<Successor>,
 ) -> Result<(), VerificationError> {
-    let next = instr.next_addr();
-    let target = match &instr.operands[0] {
-        Operand::Imm(t) => Expr::imm(*t as u64),
-        op => read_operand(ctx, &mut s, op, Width::B8, next),
-    };
+    let target = read_operand(ctx, &mut s, &instr.operands[0], Width::B8, instr.next_addr());
     // Tail transfer to the function's return address?
     if target == Expr::sym(Sym::RetSym(entry)) {
         verify_return(&s, instr.addr, entry, true)?;
@@ -954,123 +946,93 @@ fn resolve_branch(
         out.push(Successor::At(t, s));
         return Ok(());
     }
-    // Bounded set: enumerate an indexed jump table.
-    if let Some(targets) = enumerate_targets(ctx, &s, &target, instr) {
-        for (t, clause) in targets {
-            if !ctx.binary.is_code(t) {
-                return Err(VerificationError::JumpOutsideText { addr: instr.addr, target: t });
+    // A bounded jump table, else the externally resolved target set
+    // (analyze→re-lift refinement), else an annotation.
+    let targets = match enumerate_targets(ctx, &s, &target, instr) {
+        Some(table) => table,
+        None => match ctx.indirect_hints.get(&instr.addr) {
+            Some(hinted) if !hinted.is_empty() => hinted.iter().copied().collect(),
+            _ => {
+                ctx.diags.annotate(Annotation::UnresolvedJump { addr: instr.addr, target });
+                return Ok(());
             }
-            let mut branch = s.clone();
-            if let Some(cl) = clause {
-                branch.pred.clauses.insert(cl);
-            }
-            out.push(Successor::At(t, branch));
+        },
+    };
+    for t in targets {
+        if !ctx.binary.is_code(t) {
+            return Err(VerificationError::JumpOutsideText { addr: instr.addr, target: t });
         }
-        ctx.diags.resolved_indirections += 1;
-        return Ok(());
+        out.push(Successor::At(t, s.clone()));
     }
-    // Externally resolved target set (analyze→re-lift refinement).
-    if let Some(hinted) = ctx.indirect_hints.get(&instr.addr) {
-        if !hinted.is_empty() {
-            for &t in hinted {
-                if !ctx.binary.is_code(t) {
-                    return Err(VerificationError::JumpOutsideText { addr: instr.addr, target: t });
-                }
-                out.push(Successor::At(t, s.clone()));
-            }
-            ctx.diags.resolved_indirections += 1;
-            return Ok(());
-        }
-    }
-    ctx.diags.annotate(Annotation::UnresolvedJump { addr: instr.addr, target });
+    ctx.diags.resolved_indirections += 1;
     Ok(())
 }
 
-/// Enumerate the concrete targets of an indirect branch whose operand
-/// has a bounded address range inside read-only data (a jump table),
-/// or whose value expression itself is range-bounded.
+/// Enumerate the concrete targets of an indirect branch from a jump
+/// table in read-only memory, sorted and deduplicated.
 ///
-/// Returns `(target, optional index clause)` pairs, deduplicated.
+/// A table source is an `(address, size)` pair. The sources are tried
+/// in order, and the first that enumerates wins: the operand's own
+/// address (`jmp [table + i*8]`), then every stored region whose value
+/// is the target (`mov rax, [table + i*8]; jmp rax`). A pair already
+/// tried is skipped, since it would fail the same way.
 fn enumerate_targets(
     ctx: &mut StepCtx<'_>,
     s: &SymState,
     target: &Expr,
     instr: &Instr,
-) -> Option<Vec<(u64, Option<Clause>)>> {
+) -> Option<Vec<u64>> {
     let sctx = ctx.solver_ctx(&s.pred);
-    // Case 1: the target was read from memory this instruction —
-    // re-derive the table address range from the memory operand. On
-    // failure, fall through to the stored-region search below.
-    if let Some(Operand::Mem(m)) = instr.operands.first() {
-        let addr = addr_expr(&s.pred, m, instr.next_addr());
-        let size = m.size.bytes() as u64;
-        let mut direct = || -> Option<Vec<(u64, Option<Clause>)>> {
-            let iv = sctx.interval_of(&addr)?;
-            // Stride: the scale of the index register if present, else
-            // the access size.
-            let stride = if m.index.is_some() { m.scale.max(1) as u64 } else { size };
-            let entries = (iv.hi - iv.lo) / stride + 1;
-            if entries > MAX_JUMP_TABLE {
-                return None;
-            }
-            let mut targets = Vec::new();
-            let mut a = iv.lo;
-            loop {
-                // Only load-time-constant (non-writable) memory may be
-                // enumerated as a jump table.
-                let v = ctx.binary.read_int_ro(a, size as u8)?;
-                ctx.diags.image_reads.insert((a, size as u8));
-                targets.push((v, None));
-                if a >= iv.hi {
-                    break;
-                }
-                a += stride;
-            }
-            targets.sort_unstable();
-            targets.dedup();
-            Some(targets)
-        };
-        if let Some(targets) = direct() {
-            return Some(targets);
+    let own = match instr.operands.first() {
+        Some(Operand::Mem(m)) => {
+            Some((addr_expr(&s.pred, m, instr.next_addr()), m.size.bytes() as u64))
         }
-    }
-    // Case 2: a register target whose expression is a bounded Deref of
-    // a table (mov rax, [table + i*8]; jmp rax): the register holds a
-    // fresh/materialised value — look for the producing region in
-    // pred.mem and bound its address.
-    let candidates: Vec<(Region, Expr)> =
-        s.pred.mem.iter().map(|(r, v)| (*r, *v)).collect();
-    for (region, v) in candidates {
-        if v != *target {
+        _ => None,
+    };
+    let stored = s.pred.mem.iter().filter(|(_, v)| *v == target).map(|(r, _)| (r.addr, r.size));
+    let mut tried = Vec::new();
+    for source in own.into_iter().chain(stored) {
+        if tried.contains(&source) {
             continue;
         }
-        let mut enumerate = || -> Option<Vec<(u64, Option<Clause>)>> {
-            let iv = sctx.interval_of(&region.addr)?;
-            let stride = region.size.max(1);
-            let entries = (iv.hi - iv.lo) / stride + 1;
-            if entries > MAX_JUMP_TABLE {
-                return None;
-            }
-            let mut targets = Vec::new();
-            let mut a = iv.lo;
-            loop {
-                let val = ctx.binary.read_int_ro(a, region.size as u8)?;
-                ctx.diags.image_reads.insert((a, region.size as u8));
-                targets.push((val, None));
-                if a >= iv.hi {
-                    break;
-                }
-                a += stride;
-            }
-            targets.sort_unstable();
-            targets.dedup();
-            Some(targets)
-        };
-        if let Some(targets) = enumerate() {
+        tried.push(source);
+        if let Some(targets) = walk_table(ctx, &sctx, source) {
             return Some(targets);
         }
     }
     None
+}
+
+/// Read every slot of one table source. The address `Σ cᵢ·xᵢ + k`
+/// takes only values `lo + n·g`, where `g` is the gcd of the
+/// coefficients (1 for a constant address), so the walk steps by `g`
+/// from `lo` and ends exactly at `hi`. `None` if the address is
+/// unbounded, the table has more than [`MAX_JUMP_TABLE`] slots, or a
+/// slot is not load-time-constant memory.
+fn walk_table(ctx: &mut StepCtx<'_>, sctx: &Ctx, (addr, size): (Expr, u64)) -> Option<Vec<u64>> {
+    let iv = sctx.interval_of(&addr)?;
+    let stride = Linear::of_expr(&addr).terms.values().fold(0, |g, &c| gcd(g, c as u64)).max(1);
+    if ((iv.hi - iv.lo) / stride).saturating_add(1) > MAX_JUMP_TABLE {
+        return None;
+    }
+    let mut targets = Vec::new();
+    for a in (iv.lo..=iv.hi).step_by(stride as usize) {
+        targets.push(ctx.binary.read_int_ro(a, size as u8)?);
+        // The lifted output depends on the slots read so far, even
+        // when a later slot fails: the artifact store hashes them.
+        ctx.diags.image_reads.insert((a, size as u8));
+    }
+    targets.sort_unstable();
+    targets.dedup();
+    Some(targets)
+}
+
+fn gcd(a: u64, b: u64) -> u64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
 }
 
 /// Resolve `call` successors (§4.2).
@@ -1081,11 +1043,8 @@ fn resolve_call(
     out: &mut Vec<Successor>,
 ) -> Result<(), VerificationError> {
     let next = instr.next_addr();
-    let target = match &instr.operands[0] {
-        Operand::Imm(t) => Some(*t as u64),
-        op => read_operand(ctx, &mut s, op, Width::B8, next).as_imm(),
-    };
-    match target {
+    let target = read_operand(ctx, &mut s, &instr.operands[0], Width::B8, next);
+    match target.as_imm() {
         Some(t) if ctx.binary.external_at(t).is_some() => {
             let name = ctx.binary.external_at(t).expect("checked").to_string();
             if TERMINATING_EXTERNALS.contains(&name.as_str()) {
@@ -1108,11 +1067,7 @@ fn resolve_call(
         None => {
             // Unresolved indirect call: annotate (column C) and treat
             // as an unknown external function (§5.1).
-            let texpr = match &instr.operands[0] {
-                Operand::Imm(t) => Expr::imm(*t as u64),
-                op => read_operand(ctx, &mut s, op, Width::B8, next),
-            };
-            ctx.diags.annotate(Annotation::UnresolvedCall { addr: instr.addr, target: texpr });
+            ctx.diags.annotate(Annotation::UnresolvedCall { addr: instr.addr, target });
             clean_for_external(ctx, &mut s, instr.addr, "<unknown>");
             out.push(Successor::At(next, s));
             Ok(())
@@ -1359,8 +1314,8 @@ mod tests {
                 indirect_hints: &BTreeMap::new(),
                 fresh: &mut fresh,
                 diags: &mut diags,
-                cache: None,
-                metrics: None,
+                cache: &std::sync::Arc::new(hgl_solver::QueryCache::new()),
+                metrics: &crate::metrics::Metrics::new(),
             };
             step(&mut ctx, state.clone(), instr, BASE).expect("steps")
         };
@@ -1521,8 +1476,8 @@ mod tests {
             indirect_hints: &BTreeMap::new(),
             fresh: &mut fresh,
             diags: &mut diags,
-            cache: None,
-            metrics: None,
+            cache: &std::sync::Arc::new(hgl_solver::QueryCache::new()),
+            metrics: &crate::metrics::Metrics::new(),
         };
         let succ = step(&mut ctx, s0.clone(), &bin_instr, BASE).expect("steps");
         assert!(succ.is_empty(), "exit terminates the path");
@@ -1573,8 +1528,8 @@ mod tests {
             indirect_hints: &BTreeMap::new(),
             fresh: &mut fresh,
             diags: &mut diags,
-            cache: None,
-            metrics: None,
+            cache: &std::sync::Arc::new(hgl_solver::QueryCache::new()),
+            metrics: &crate::metrics::Metrics::new(),
         };
         let r = step(&mut ctx, s0.clone(), &store, BASE);
         assert!(
@@ -1617,8 +1572,8 @@ mod tests {
             indirect_hints: &BTreeMap::new(),
             fresh: &mut fresh,
             diags: &mut diags,
-            cache: None,
-            metrics: None,
+            cache: &std::sync::Arc::new(hgl_solver::QueryCache::new()),
+            metrics: &crate::metrics::Metrics::new(),
         };
         let r = step(&mut ctx, s0.clone(), &jmp, BASE);
         assert!(matches!(r, Err(VerificationError::JumpOutsideText { .. })));

@@ -10,11 +10,11 @@
 use hgl_core::diag::Diagnostics;
 use hgl_core::pred::{FlagState, Pred, Shared, SymState};
 use hgl_core::tau::{step, StepCtx, Successor};
-use hgl_core::MemModel;
+use hgl_core::{MemModel, Metrics};
 use hgl_elf::{Binary, Segment, SegmentFlags};
 use hgl_emu::{FillPolicy, Machine, Mem};
 use hgl_expr::Expr;
-use hgl_solver::Layout;
+use hgl_solver::{Layout, QueryCache};
 use hgl_x86::{encode, Cond, Instr, Mnemonic, Operand, Reg, RegRef, Width};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -77,8 +77,8 @@ fn check(instr: &Instr, regs: &BTreeMap<Reg, u64>, flags_from: Option<FlagSetup>
         indirect_hints: &BTreeMap::new(),
         fresh: &mut fresh,
         diags: &mut diags,
-        cache: None,
-        metrics: None,
+        cache: &std::sync::Arc::new(QueryCache::new()),
+        metrics: &Metrics::new(),
     };
     let successors = match step(&mut ctx, state, &placed, CODE_BASE) {
         Ok(s) => s,

@@ -45,11 +45,6 @@ impl Env {
         Env::default()
     }
 
-    /// Build from an explicit assignment.
-    pub fn from_map(map: BTreeMap<Sym, u64>) -> Env {
-        Env { map }
-    }
-
     /// Bind `s` to `v` (overwrites).
     pub fn insert(&mut self, s: Sym, v: u64) {
         self.map.insert(s, v);

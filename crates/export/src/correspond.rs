@@ -68,9 +68,6 @@ fn compare_fn(entry: u64, a: &FnLift, b: &FnLift, rep: &mut CorrespondReport) {
         if x.state != y.state {
             rep.push(format!("{entry:#x}: invariant at {id} differs"));
         }
-        if x.reachable != y.reachable {
-            rep.push(format!("{entry:#x}: reachability at {id} differs"));
-        }
     }
     let ea = edge_keys(&a.graph);
     let eb = edge_keys(&b.graph);

@@ -40,11 +40,6 @@ impl Interval {
         self.lo == self.hi
     }
 
-    /// True if this is the full range.
-    pub fn is_top(&self) -> bool {
-        *self == Interval::TOP
-    }
-
     /// Number of values in the interval, saturating at `u64::MAX`.
     pub fn count(&self) -> u64 {
         (self.hi - self.lo).saturating_add(1)
@@ -77,12 +72,6 @@ impl Interval {
     /// Multiply by a constant; `None` on overflow.
     pub fn mul_const(self, k: u64) -> Option<Interval> {
         Some(Interval { lo: self.lo.checked_mul(k)?, hi: self.hi.checked_mul(k)? })
-    }
-
-    /// Iterate the values of a small interval (`None` if more than
-    /// `cap`), used to enumerate bounded jump-table indices.
-    pub fn enumerate(&self, cap: u64) -> Option<impl Iterator<Item = u64> + '_> {
-        (self.count() <= cap).then_some(self.lo..=self.hi).map(|r| r.into_iter())
     }
 }
 
@@ -118,14 +107,6 @@ mod tests {
         assert_eq!(Interval::new(1, u64::MAX).add_const(1), None);
         assert_eq!(Interval::new(0, 4).mul_const(8), Some(Interval::new(0, 32)));
         assert_eq!(Interval::new(0, u64::MAX / 2).mul_const(4), None);
-    }
-
-    #[test]
-    fn enumerate_bounded() {
-        let i = Interval::new(0, 0xc2);
-        let v: Vec<u64> = i.enumerate(0x1000).expect("small").collect();
-        assert_eq!(v.len(), 0xc3);
-        assert!(Interval::new(0, 1 << 20).enumerate(1024).is_none());
     }
 
     #[test]

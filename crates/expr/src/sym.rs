@@ -27,14 +27,6 @@ pub enum Sym {
     Global(u64),
 }
 
-impl Sym {
-    /// True for symbols whose value is an *instruction* or *code*
-    /// address by construction (`S_f` return symbols).
-    pub fn is_return_symbol(self) -> bool {
-        matches!(self, Sym::RetSym(_))
-    }
-}
-
 impl fmt::Display for Sym {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -32,7 +32,7 @@ use crate::trace::{EntryState, SENTINEL};
 use hgl_core::tau::TERMINATING_EXTERNALS;
 use hgl_core::{LiftResult, Lifter};
 use hgl_elf::Binary;
-use hgl_emu::{Event, Machine};
+use hgl_emu::Event;
 use hgl_rewrite::{rewrite, RewriteError, RewriteOutput, RewritePass, ShadowStackPass};
 use hgl_x86::{decode, Mnemonic, Reg, RegRef};
 use std::collections::BTreeMap;
@@ -93,13 +93,7 @@ pub struct RunSummary {
 /// excluded from the memory delta. Steps are budgeted on *normalised*
 /// steps so both sides of a differential pair get the same budget.
 pub fn run_raw(bin: &Binary, es: &EntryState, out: Option<&RewriteOutput>, max_steps: usize) -> RunSummary {
-    let mut m = Machine::from_binary(bin);
-    m.rip = bin.entry;
-    m.push_return_address(SENTINEL);
-    m.set_reg(RegRef::full(Reg::Rdi), es.rdi);
-    for (r, v) in [Reg::Rax, Reg::Rcx, Reg::Rdx, Reg::Rsi, Reg::R8, Reg::R9].into_iter().zip(es.scratch) {
-        m.set_reg(RegRef::full(r), v);
-    }
+    let mut m = es.machine(bin);
     let baseline = m.mem.clone();
 
     let mut rips = Vec::new();

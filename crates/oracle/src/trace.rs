@@ -190,6 +190,24 @@ pub struct EntryState {
     pub scratch: [u64; 6],
 }
 
+impl EntryState {
+    /// A machine at `bin`'s entry in this state: [`SENTINEL`] pushed as
+    /// the return address, `rdi` and the scratch registers set.
+    pub fn machine(&self, bin: &Binary) -> Machine {
+        let mut m = Machine::from_binary(bin);
+        m.rip = bin.entry;
+        m.push_return_address(SENTINEL);
+        m.set_reg(RegRef::full(Reg::Rdi), self.rdi);
+        for (r, v) in [Reg::Rax, Reg::Rcx, Reg::Rdx, Reg::Rsi, Reg::R8, Reg::R9]
+            .into_iter()
+            .zip(self.scratch)
+        {
+            m.set_reg(RegRef::full(r), v);
+        }
+        m
+    }
+}
+
 /// The trace oracle for one lifted binary.
 pub struct TraceOracle<'a> {
     binary: &'a Binary,
@@ -396,17 +414,8 @@ impl<'a> TraceOracle<'a> {
     /// `coverage` is updated with every executed mnemonic, replayed
     /// edge kind and the final stop reason.
     pub fn check_trace(&self, es: &EntryState, coverage: &mut Coverage) -> TraceOutcome {
-        let mut m = Machine::from_binary(self.binary);
+        let mut m = es.machine(self.binary);
         let entry = self.binary.entry;
-        m.rip = entry;
-        m.push_return_address(SENTINEL);
-        m.set_reg(RegRef::full(Reg::Rdi), es.rdi);
-        for (r, v) in [Reg::Rax, Reg::Rcx, Reg::Rdx, Reg::Rsi, Reg::R8, Reg::R9]
-            .into_iter()
-            .zip(es.scratch)
-        {
-            m.set_reg(RegRef::full(r), v);
-        }
 
         let mut tail: VecDeque<String> = VecDeque::with_capacity(12);
         let mut frames: Vec<Frame> = Vec::new();

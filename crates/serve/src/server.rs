@@ -278,12 +278,6 @@ impl Server {
             let _ = h.join();
         }
     }
-
-    /// True once shutdown has been initiated (by [`Server::shutdown`]
-    /// or a client `shutdown` op).
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.shutting_down.load(Ordering::SeqCst)
-    }
 }
 
 impl Drop for Server {

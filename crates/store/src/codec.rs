@@ -794,7 +794,6 @@ pub fn encode_fn_lift(f: &FnLift) -> Vec<u8> {
     w.len(f.graph.vertices.len());
     for (vid, v) in &f.graph.vertices {
         put_vid(&mut w, *vid);
-        w.bool(v.reachable);
         put_state(&mut w, &v.state);
     }
     w.len(f.graph.edges.len());
@@ -850,9 +849,8 @@ pub fn decode_fn_lift(bytes: &[u8], binary: &Binary) -> R<FnLift> {
     let mut graph = HoareGraph::new();
     for _ in 0..r.len(2)? {
         let vid = get_vid(&mut r)?;
-        let reachable = r.bool()?;
         let state = get_state(&mut r)?;
-        graph.add_vertex(vid, state, reachable);
+        graph.add_vertex(vid, state);
     }
     // Graphs have several edges per instruction address (one per
     // predicate index), so the re-decode is memoized per address.

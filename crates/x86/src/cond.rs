@@ -1,6 +1,5 @@
 //! Condition codes for `jcc`, `setcc` and `cmovcc`.
 
-use crate::Flag;
 use std::fmt;
 
 /// An x86 condition code (the low nibble of the `jcc`/`setcc`/`cmovcc`
@@ -64,20 +63,6 @@ impl Cond {
     /// The negated condition (`e` ↔ `ne`, `l` ↔ `ge`, …).
     pub fn negate(self) -> Cond {
         Cond::from_number(self.number() ^ 1)
-    }
-
-    /// Flags read when evaluating this condition.
-    pub fn flags_read(self) -> &'static [Flag] {
-        match self {
-            Cond::O | Cond::No => &[Flag::Of],
-            Cond::B | Cond::Ae => &[Flag::Cf],
-            Cond::E | Cond::Ne => &[Flag::Zf],
-            Cond::Be | Cond::A => &[Flag::Cf, Flag::Zf],
-            Cond::S | Cond::Ns => &[Flag::Sf],
-            Cond::P | Cond::Np => &[Flag::Pf],
-            Cond::L | Cond::Ge => &[Flag::Sf, Flag::Of],
-            Cond::Le | Cond::G => &[Flag::Sf, Flag::Of, Flag::Zf],
-        }
     }
 
     /// Evaluate the condition against concrete flag values.

@@ -77,15 +77,6 @@ impl Instr {
             _ => None,
         })
     }
-
-    /// True if this instruction implicitly reads or writes the stack
-    /// through `rsp` (push/pop/call/ret/leave).
-    pub fn touches_stack_implicitly(&self) -> bool {
-        matches!(
-            self.mnemonic,
-            Mnemonic::Push | Mnemonic::Pop | Mnemonic::Call | Mnemonic::Ret | Mnemonic::Leave
-        )
-    }
 }
 
 #[cfg(test)]

@@ -12,14 +12,17 @@
 //!    between the context-free per-function graphs and are checked by
 //!    membership instead).
 
-use hoare_lift::core::lift::LiftResult;
+use hoare_lift::asm::Asm;
+use hoare_lift::core::lift::{LiftResult, RejectReason};
 use hoare_lift::core::Lifter;
 use hoare_lift::core::VertexId;
 use hoare_lift::corpus::{coreutils, failures};
 use hoare_lift::corpus::xen::{build_study, ExpectedOutcome, StudySpec, UnitKind};
 use hoare_lift::elf::Binary;
 use hoare_lift::emu::{Event, Machine};
-use hoare_lift::x86::{Mnemonic, Reg, RegRef};
+use hoare_lift::oracle::{Coverage, EntryState, TraceOracle};
+use hoare_lift::x86::{Cond, Instr, MemOperand, Mnemonic, Operand, Reg, RegRef, Width};
+use std::mem::discriminant;
 
 const SENTINEL: u64 = 0x7fff_dead_beef;
 
@@ -176,4 +179,74 @@ fn weird_trace_covered() {
     }
     assert!(m.rip == SENTINEL, "the hijacked path still returns (via the hidden ret)");
     check_covered(&bin, &result, &steps, "weird-edge (aliased)");
+}
+
+/// A four-case table of 8-byte slots behind `cmp rcx, 3; ja default`,
+/// indexed at stride 4 (`table + rcx*4`): for odd `rdi` the jump reads
+/// a qword that straddles two slots. `load_then_jmp` picks the shape
+/// that reaches the jump: `mov rax, [table + rcx*4]; jmp rax` instead
+/// of `jmp [table + rcx*4]`.
+fn half_stride_table(load_then_jmp: bool) -> Binary {
+    let mut asm = Asm::new();
+    asm.label("dispatch");
+    asm.ins(Instr::new(
+        Mnemonic::Mov,
+        vec![Operand::reg64(Reg::Rcx), Operand::reg64(Reg::Rdi)],
+        Width::B8,
+    ));
+    asm.ins(Instr::new(Mnemonic::Cmp, vec![Operand::reg64(Reg::Rcx), Operand::Imm(3)], Width::B8));
+    asm.jcc(Cond::A, "default");
+    let slot = Operand::Mem(MemOperand::sib(None, Reg::Rcx, 4, 0, Width::B8));
+    if load_then_jmp {
+        let load = Instr::new(Mnemonic::Mov, vec![Operand::reg64(Reg::Rax), slot], Width::B8);
+        asm.ins_mem_label(load, 1, "table");
+        asm.ins(Instr::new(Mnemonic::Jmp, vec![Operand::reg64(Reg::Rax)], Width::B8));
+    } else {
+        asm.ins_mem_label(Instr::new(Mnemonic::Jmp, vec![slot], Width::B8), 0, "table");
+    }
+    for i in 0..4 {
+        asm.label(&format!("case_{i}"));
+        asm.ins(Instr::new(
+            Mnemonic::Mov,
+            vec![Operand::reg(Reg::Rax, Width::B4), Operand::Imm(10 + i)],
+            Width::B4,
+        ));
+        asm.ret();
+    }
+    asm.label("default");
+    asm.ret();
+    asm.jump_table("table", &["case_0", "case_1", "case_2", "case_3"]);
+    asm.entry("dispatch").assemble().expect("assembles")
+}
+
+/// Whether the slot reaches the jump through memory or a register, τ
+/// walks the same table at the same stride: both shapes get one
+/// verdict, and a lift that accepts either must cover every concrete
+/// jump. The trace oracle checks that, including transitions to
+/// non-code addresses, which `check_covered` skips.
+#[test]
+fn half_stride_table_has_one_verdict_in_both_shapes() {
+    let verdict = |load_then_jmp| {
+        let bin = half_stride_table(load_then_jmp);
+        let result = Lifter::new(&bin).lift_entry(bin.entry);
+        match result.reject_reason() {
+            None => {
+                let oracle = TraceOracle::new(&bin, &result);
+                let mut coverage = Coverage::default();
+                for rdi in 0..4 {
+                    let es = EntryState { rdi, scratch: [0; 6] };
+                    let outcome = oracle.check_trace(&es, &mut coverage);
+                    assert!(
+                        outcome.violation.is_none(),
+                        "load_then_jmp={load_then_jmp}, rdi={rdi}: {:?}",
+                        outcome.violation
+                    );
+                }
+                Ok(())
+            }
+            Some(RejectReason::Verification(e)) => Err(discriminant(&e)),
+            Some(other) => panic!("load_then_jmp={load_then_jmp}: {other:?}"),
+        }
+    };
+    assert_eq!(verdict(false), verdict(true), "the two shapes of one table get different verdicts");
 }

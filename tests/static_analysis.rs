@@ -147,9 +147,9 @@ fn dead_node_lint_flags_orphan_vertex() {
     let entry = 0x40_1000u64;
     let orphan = VertexId::At(0x40_1010, 0);
     let mut g = HoareGraph::new();
-    g.add_vertex(VertexId::At(entry, 0), SymState::function_entry(entry), true);
-    g.add_vertex(orphan, SymState::function_entry(entry), true);
-    g.add_vertex(VertexId::Exit, SymState::function_entry(entry), true);
+    g.add_vertex(VertexId::At(entry, 0), SymState::function_entry(entry));
+    g.add_vertex(orphan, SymState::function_entry(entry));
+    g.add_vertex(VertexId::Exit, SymState::function_entry(entry));
     g.add_edge(
         VertexId::At(entry, 0),
         VertexId::Exit,
