@@ -50,12 +50,16 @@ use hgl_solver::{Layout, QueryCache};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// The number of workers the engine uses when none is requested.
+/// The number of workers the engine uses when none is requested:
+/// `available_parallelism`, resolved once per process. Each call of
+/// `available_parallelism` re-reads the cgroup CPU-quota files, and
+/// the engine asks for every lift left at 0 workers.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// A lifting session over one binary.

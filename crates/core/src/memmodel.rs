@@ -65,29 +65,32 @@ pub struct InsBranch {
 }
 
 /// Tree-level relation of a single region against a tree.
+///
+/// Each top-level region is decided once, in order, until one aliases;
+/// the later checks (enclosed, encloses) classify from those answers.
+/// The separate check reads them again, then decides the descendants
+/// in `MemTree::all_regions` order, so the assumptions it appends keep
+/// that order.
 fn region_vs_tree(ctx: &Ctx, r: &Region, t: &MemTree, assumptions: &mut Vec<Assumption>) -> RegionRel {
     // Aliases some top-level region?
+    let mut top = Vec::with_capacity(t.regions.len());
     for r1 in &t.regions {
-        let Answer { rel, assumptions: a } = decide(ctx, r, r1);
-        if rel == RegionRel::Alias {
-            assumptions.extend(a);
+        let answer = decide(ctx, r, r1);
+        if answer.rel == RegionRel::Alias {
+            assumptions.extend(answer.assumptions);
             return RegionRel::Alias;
         }
+        top.push(answer);
     }
     // Enclosed in some top-level region?
-    for r1 in &t.regions {
-        let Answer { rel, assumptions: a } = decide(ctx, r, r1);
-        if rel == RegionRel::Enclosed {
-            assumptions.extend(a);
-            return RegionRel::Enclosed;
-        }
+    if let Some(a) = top.iter().find(|a| a.rel == RegionRel::Enclosed) {
+        assumptions.extend(a.assumptions.iter().cloned());
+        return RegionRel::Enclosed;
     }
     // Encloses all top-level regions?
-    if !t.regions.is_empty()
-        && t.regions.iter().all(|r1| decide(ctx, r, r1).rel == RegionRel::Encloses)
-    {
-        for r1 in &t.regions {
-            assumptions.extend(decide(ctx, r, r1).assumptions);
+    if !top.is_empty() && top.iter().all(|a| a.rel == RegionRel::Encloses) {
+        for a in top {
+            assumptions.extend(a.assumptions);
         }
         return RegionRel::Encloses;
     }
@@ -95,8 +98,8 @@ fn region_vs_tree(ctx: &Ctx, r: &Region, t: &MemTree, assumptions: &mut Vec<Assu
     let mut all_sep = true;
     let mut any_overlap = false;
     let mut sep_assumptions = Vec::new();
-    for r1 in t.all_regions() {
-        let Answer { rel, assumptions: a } = decide(ctx, r, r1);
+    let below = t.children.trees.iter().flat_map(MemTree::all_regions);
+    for Answer { rel, assumptions: a } in top.into_iter().chain(below.map(|r1| decide(ctx, r, r1))) {
         match rel {
             RegionRel::Separate => sep_assumptions.extend(a),
             RegionRel::Overlap => {
@@ -140,8 +143,11 @@ impl MemModel {
     /// True if `r` occurs anywhere in the model (allocation-free;
     /// insertion probes this on every memory access).
     pub fn contains_region(&self, r: &Region) -> bool {
+        // Membership by handle: `Region` equality is one pointer and
+        // one size comparison, where `BTreeSet::contains` would compare
+        // address terms structurally on the way down.
         fn tree_has(t: &MemTree, r: &Region) -> bool {
-            t.regions.contains(r) || t.children.trees.iter().any(|c| tree_has(c, r))
+            t.regions.iter().any(|x| x == r) || t.children.trees.iter().any(|c| tree_has(c, r))
         }
         self.trees.iter().any(|t| tree_has(t, r))
     }
@@ -165,8 +171,8 @@ impl MemModel {
             let mut f0 = false;
             let mut f1 = false;
             for t in &m.trees {
-                let here0 = t.regions.contains(r0);
-                let here1 = t.regions.contains(r1);
+                let here0 = t.regions.iter().any(|x| x == r0);
+                let here1 = t.regions.iter().any(|x| x == r1);
                 if here0 && here1 {
                     // Same node: alias (identical regions trivially so).
                     return Found::Both(RegionRel::Alias);
@@ -932,5 +938,48 @@ mod tests {
         let branches = m.insert(&ctx, Region::new(Expr::bottom(), 8), 64);
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].destroyed.len(), 1);
+    }
+
+    /// Insert `r` into `m` under a fresh query cache; returns the
+    /// branches and the number of solver questions asked (hits plus
+    /// misses).
+    fn insert_counting(m: &MemModel, r: Region) -> (Vec<InsBranch>, u64) {
+        let cache = std::sync::Arc::new(hgl_solver::QueryCache::new());
+        let ctx = Ctx::new().with_cache(std::sync::Arc::clone(&cache));
+        let branches = m.insert(&ctx, r, 64);
+        let stats = cache.stats();
+        (branches, stats.hits + stats.misses)
+    }
+
+    #[test]
+    fn insert_asks_one_question_per_separate_leaf_tree() {
+        for n in [1usize, 4, 12] {
+            let trees = (1..=n as i64).map(|i| MemTree::leaf(Region::stack(-16 * i, 8))).collect();
+            let m = MemModel { trees };
+            let (branches, asked) = insert_counting(&m, Region::stack(8, 8));
+            assert_eq!(asked, n as u64, "{n} separate leaf trees");
+            assert_eq!(branches.len(), 1);
+            assert_eq!(branches[0].model.trees.len(), n + 1);
+        }
+    }
+
+    #[test]
+    fn separate_check_appends_node_then_descendant_answers() {
+        // [rdi0, 16] encloses [rdi0, 8] and [rdi0 + 8, 8]. A stack slot
+        // is separate from all three by the caller-vs-frame assumption:
+        // one question per region, assumptions in `all_regions` order.
+        let node = Region::new(sym(Reg::Rdi), 16);
+        let lo = Region::new(sym(Reg::Rdi), 8);
+        let hi = Region::new(sym(Reg::Rdi).add(Expr::imm(8)), 8);
+        let children = MemModel { trees: vec![MemTree::leaf(lo), MemTree::leaf(hi)] };
+        let m = MemModel { trees: vec![MemTree { regions: BTreeSet::from([node]), children }] };
+        let slot = Region::stack(-8, 8);
+        let (branches, asked) = insert_counting(&m, slot);
+        assert_eq!(asked, 3);
+        assert_eq!(branches.len(), 1);
+        let assumed: Vec<(hgl_solver::AssumptionKind, Region, Region)> =
+            branches[0].assumptions.iter().map(|a| (a.kind, a.r0, a.r1)).collect();
+        let frame = hgl_solver::AssumptionKind::CallerVsFrame;
+        assert_eq!(assumed, vec![(frame, slot, node), (frame, slot, lo), (frame, slot, hi)]);
     }
 }

@@ -32,10 +32,10 @@ pub struct StepCtx<'a> {
     /// The binary being lifted.
     pub binary: &'a Binary,
     /// Its section layout (for provenance classification). Shared:
-    /// built once per binary by the engine; every step and every
-    /// solver context holds a handle instead of copying section
-    /// tables.
-    pub layout: std::sync::Arc<Layout>,
+    /// built once per binary by the engine; every solver context holds
+    /// a handle instead of copying section tables, and the step borrows
+    /// the engine's.
+    pub layout: &'a std::sync::Arc<Layout>,
     /// Externally resolved indirect-branch targets (borrowed from
     /// [`LiftConfig::indirect_hints`](crate::lift::LiftConfig::indirect_hints);
     /// one copy per lift, not per step).
@@ -61,7 +61,7 @@ impl<'a> StepCtx<'a> {
     fn solver_ctx(&self, pred: &Pred) -> Ctx {
         self.metrics
             .time(crate::metrics::Phase::Solver, || {
-                Ctx::from_clauses(pred.clauses.iter(), std::sync::Arc::clone(&self.layout))
+                Ctx::from_clauses(pred.clauses.iter(), std::sync::Arc::clone(self.layout))
             })
             .with_cache(std::sync::Arc::clone(self.cache))
     }
@@ -1310,7 +1310,7 @@ mod tests {
         let succ = {
             let mut ctx = StepCtx {
                 binary: &bin,
-                layout: std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
+                layout: &std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
                 indirect_hints: &BTreeMap::new(),
                 fresh: &mut fresh,
                 diags: &mut diags,
@@ -1472,7 +1472,7 @@ mod tests {
         let mut diags = Diagnostics::default();
         let mut ctx = StepCtx {
             binary: &bin,
-            layout: std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
+            layout: &std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
             indirect_hints: &BTreeMap::new(),
             fresh: &mut fresh,
             diags: &mut diags,
@@ -1524,7 +1524,7 @@ mod tests {
         let mut diags = Diagnostics::default();
         let mut ctx = StepCtx {
             binary: &bin,
-            layout: std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
+            layout: &std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
             indirect_hints: &BTreeMap::new(),
             fresh: &mut fresh,
             diags: &mut diags,
@@ -1568,7 +1568,7 @@ mod tests {
         let mut diags = Diagnostics::default();
         let mut ctx = StepCtx {
             binary: &bin,
-            layout: std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
+            layout: &std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
             indirect_hints: &BTreeMap::new(),
             fresh: &mut fresh,
             diags: &mut diags,

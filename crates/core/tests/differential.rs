@@ -73,7 +73,7 @@ fn check(instr: &Instr, regs: &BTreeMap<Reg, u64>, flags_from: Option<FlagSetup>
     let mut diags = Diagnostics::default();
     let mut ctx = StepCtx {
         binary: &bin,
-        layout: std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
+        layout: &std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
         indirect_hints: &BTreeMap::new(),
         fresh: &mut fresh,
         diags: &mut diags,

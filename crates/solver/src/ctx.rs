@@ -1,7 +1,7 @@
 //! Solver context: bounds mined from predicate clauses, and the memory
 //! layout used to classify constant addresses.
 
-use hgl_expr::{Atom, Clause, Expr, Interval, Linear, Rel, Sym};
+use hgl_expr::{Atom, Clause, Expr, Interval, Rel, Sym};
 use hgl_x86::Reg;
 use std::collections::BTreeMap;
 
@@ -103,7 +103,7 @@ impl Ctx {
     /// `atom + 5 < 3` holds for `atom = −4`), so they are skipped.
     pub fn add_clause(&mut self, c: &Clause) {
         let Some(rhs) = c.rhs.as_imm() else { return };
-        let lin = Linear::of_expr(&c.lhs);
+        let lin = c.lhs.linear_form();
         // Only `1·atom + k □ imm` forms produce bounds.
         let Some((atom, k)) = lin.single_atom() else { return };
         if k == 0 {
@@ -160,7 +160,7 @@ impl Ctx {
     /// every atom of its linear form is bounded and the arithmetic does
     /// not overflow; `None` means unbounded/unknown.
     pub fn interval_of(&self, e: &Expr) -> Option<Interval> {
-        let lin = Linear::of_expr(e);
+        let lin = e.linear_form();
         if lin.has_bottom {
             return None;
         }
@@ -182,7 +182,7 @@ impl Ctx {
 
     /// Provenance classification of an address expression.
     pub fn provenance(&self, e: &Expr) -> Provenance {
-        let lin = Linear::of_expr(e);
+        let lin = e.linear_form();
         if lin.has_bottom {
             return Provenance::Unknown;
         }
@@ -191,7 +191,7 @@ impl Ctx {
         }
         // `rsp0 + k` exactly: the canonical stack-slot shape, decided
         // by the shared single-atom matcher (see `region.rs`).
-        if crate::region::rsp0_displacement(&lin).is_some() {
+        if crate::region::rsp0_displacement(lin).is_some() {
             return Provenance::Stack;
         }
         if lin.terms.len() == 1 {

@@ -91,8 +91,8 @@ fn signed_range(lin: &Linear, ctx: &Ctx) -> Option<(i128, i128)> {
 ///
 /// When the context carries a [`QueryCache`](crate::QueryCache)
 /// (attached via [`Ctx::with_cache`]), verdicts are memoized under the
-/// canonicalized-linear-form key of `cache.rs`; the decision procedure
-/// itself is a pure function of that key, so a hit is exact.
+/// regions-plus-bounds key of `cache.rs`; the decision procedure itself
+/// is a pure function of that key, so a hit is exact.
 ///
 /// ```
 /// use hgl_solver::{decide, Ctx, Region, RegionRel};

@@ -2,10 +2,10 @@
 //! verdict the memo-free procedure returns, for every query, in any
 //! replay order.
 //!
-//! The cache key canonicalizes the linear forms of both regions plus
-//! the mined bounds of every atom they mention (`cache.rs`); the
-//! decision procedure is a pure function of that information, so a
-//! cached answer must be bit-identical to a fresh one. This test
+//! The cache key holds both regions plus the mined bounds of every atom
+//! their linear forms mention (`cache.rs`); the decision procedure is a
+//! pure function of that information, so a cached answer must be
+//! bit-identical to a fresh one. This test
 //! replays randomized query streams — duplicated and shuffled so the
 //! cache serves real hits — through a shared cache and cross-checks
 //! every answer against an uncached context.

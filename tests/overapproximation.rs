@@ -99,6 +99,20 @@ fn check_covered(bin: &Binary, result: &LiftResult, steps: &[TraceStep], what: &
             continue;
         }
         if !bin.is_code(s.next) {
+            // A jump into data leaves the per-function graphs, so no
+            // edge can match it. Only a rejected function may make one:
+            // a lifted, unannotated pc must not reach non-code.
+            let rejected = result.functions.values().any(|f| {
+                !f.is_lifted() && f.graph.instructions().contains_key(&s.pc)
+            });
+            assert!(
+                rejected,
+                "{what}: concrete transition {:#x} -> {:#x} ({}) leaves the code, \
+                 but its pc is neither annotated nor in a rejected function",
+                s.pc,
+                s.next,
+                s.mnemonic
+            );
             continue;
         }
         let edge_found = result.functions.values().any(|f| {
