@@ -1,11 +1,10 @@
-//! The benchmark targets of the workspace.
+//! The engine's release-mode timing gates and a profiling binary.
 //!
-//! Each bench target regenerates one table or figure of the paper (see
-//! `DESIGN.md`'s experiment index) or measures one of the design
-//! choices called out there (memory-model insertion policy, the §4
-//! join refinement). `tests/engine_gates.rs` holds the engine's
-//! release-mode timing gates. Their input binaries come from
-//! `hgl-corpus`; this crate root holds no code.
+//! `tests/engine_gates.rs` holds the engine's timing gates, run as
+//! ignored release-mode tests; the `profile_hotpath` binary loops one
+//! hot-path section (cold lift or warm store replay) for a sampling
+//! profiler. Their input binaries come from `hgl-corpus`; this crate
+//! root holds no code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

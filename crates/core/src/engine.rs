@@ -370,10 +370,10 @@ impl<'b> Lifter<'b> {
         let meter = BudgetMeter::start_with_deadline(&self.config.budget, self.deadline);
         let workers = self.resolved_workers();
 
-        let mut slots: BTreeMap<u64, FnSlot> = roots
+        let mut slots: BTreeMap<u64, FnExploration> = roots
             .iter()
             .filter(|a| !cached.contains_key(a))
-            .map(|&a| (a, FnSlot { e: FnExploration::new(a), internal_error: None }))
+            .map(|&a| (a, FnExploration::new(a)))
             .collect();
         let mut returns_propagated: Vec<u64> =
             cached.values().filter(|f| f.returns).map(|f| f.entry).collect();
@@ -381,8 +381,8 @@ impl<'b> Lifter<'b> {
         loop {
             if let Some(ex) = meter.check_global() {
                 for s in slots.values_mut() {
-                    if !s.e.bag.is_empty() {
-                        s.e.mark_frontier(ex);
+                    if !s.bag.is_empty() {
+                        s.mark_frontier(ex);
                     }
                 }
                 result.binary_reject = Some(RejectReason::Timeout);
@@ -391,7 +391,7 @@ impl<'b> Lifter<'b> {
             let runnable: Vec<u64> = slots
                 .iter()
                 .filter(|(_, s)| {
-                    !s.e.bag.is_empty() && s.e.rejected.is_none() && s.internal_error.is_none()
+                    !s.bag.is_empty() && s.rejected.is_none() && s.internal_error.is_none()
                 })
                 .map(|(a, _)| *a)
                 .collect();
@@ -405,7 +405,7 @@ impl<'b> Lifter<'b> {
             // 1. Materialise explorations for newly discovered callees.
             let mut new_callees = Vec::new();
             for s in slots.values() {
-                for c in s.e.pending_callees() {
+                for c in s.pending_callees() {
                     if !slots.contains_key(&c) && !cached.contains_key(&c) {
                         new_callees.push(c);
                     }
@@ -413,9 +413,7 @@ impl<'b> Lifter<'b> {
             }
             if !new_callees.is_empty() {
                 for c in new_callees {
-                    slots
-                        .entry(c)
-                        .or_insert_with(|| FnSlot { e: FnExploration::new(c), internal_error: None });
+                    slots.entry(c).or_insert_with(|| FnExploration::new(c));
                 }
                 continue;
             }
@@ -424,9 +422,9 @@ impl<'b> Lifter<'b> {
             let mut activated = false;
             for callee in returns_propagated.clone() {
                 for s in slots.values_mut() {
-                    let before = s.e.bag.len();
-                    s.e.activate_returns_from(callee);
-                    activated |= s.e.bag.len() != before;
+                    let before = s.bag.len();
+                    s.activate_returns_from(callee);
+                    activated |= s.bag.len() != before;
                 }
             }
             if activated {
@@ -435,7 +433,7 @@ impl<'b> Lifter<'b> {
             // 3. Propagate newly proven returns.
             let newly: Vec<u64> = slots
                 .iter()
-                .filter(|(a, s)| s.e.returns && !returns_propagated.contains(a))
+                .filter(|(a, s)| s.returns && !returns_propagated.contains(a))
                 .map(|(a, _)| *a)
                 .collect();
             if newly.is_empty() {
@@ -444,21 +442,13 @@ impl<'b> Lifter<'b> {
             for callee in newly {
                 returns_propagated.push(callee);
                 for s in slots.values_mut() {
-                    s.e.activate_returns_from(callee);
+                    s.activate_returns_from(callee);
                 }
             }
         }
 
-        let mut explorations = BTreeMap::new();
-        let mut internal_errors = BTreeMap::new();
-        for (addr, s) in slots {
-            if let Some(message) = s.internal_error {
-                internal_errors.insert(addr, message);
-            }
-            explorations.insert(addr, s.e);
-        }
         self.metrics.time(Phase::Export, || {
-            assemble(explorations, internal_errors, cached, &mut result);
+            assemble(slots, cached, &mut result);
         });
         result.elapsed = start.elapsed();
         result
@@ -469,7 +459,7 @@ impl<'b> Lifter<'b> {
     /// isolation.
     fn run_round(
         &self,
-        slots: &mut BTreeMap<u64, FnSlot>,
+        slots: &mut BTreeMap<u64, FnExploration>,
         runnable: &[u64],
         layout: &Arc<Layout>,
         meter: &BudgetMeter,
@@ -485,14 +475,14 @@ impl<'b> Lifter<'b> {
             cache: &self.cache,
             metrics: &self.metrics,
         };
-        let items: Vec<(u64, FnSlot)> = runnable
+        let items: Vec<(u64, FnExploration)> = runnable
             .iter()
             .map(|&a| (a, slots.remove(&a).expect("runnable slot exists")))
             .collect();
         let ran = parallel_map(workers, items, |(a, mut s)| {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| s.e.run(&cx))) {
-                s.e.bag.clear();
-                s.e.pending.clear();
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| s.run(&cx))) {
+                s.bag.clear();
+                s.pending.clear();
                 s.internal_error = Some(panic_message(payload));
             }
             (a, s)
@@ -622,13 +612,6 @@ impl<'b> Lifter<'b> {
         changed |= crate::refine::merge_hints(&mut next, proposed);
         changed.then_some(next)
     }
-}
-
-/// One function's engine-side state: its exploration plus any
-/// isolated panic.
-struct FnSlot {
-    e: FnExploration,
-    internal_error: Option<String>,
 }
 
 /// The result of [`Lifter::lift_all`]: the per-function lift results

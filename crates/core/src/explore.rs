@@ -106,6 +106,10 @@ pub struct FnExploration {
     /// Set when a resource budget stopped exploration; the graph built
     /// so far is kept and the frontier is annotated.
     pub exhausted: Option<BudgetExhausted>,
+    /// Set when exploring this function panicked: the engine isolates
+    /// the panic, drops the bag and rejects the function as
+    /// [`RejectReason::Internal`](crate::lift::RejectReason::Internal).
+    pub internal_error: Option<String>,
     /// `(addr, len)` of every byte range fetched for decoding —
     /// successful decodes record the instruction length, the failing
     /// fetch records the whole window. Together with
@@ -168,6 +172,7 @@ impl FnExploration {
             returns: false,
             rejected: None,
             exhausted: None,
+            internal_error: None,
             extent: BTreeSet::new(),
             callee_deps: BTreeMap::new(),
             join_counts: BTreeMap::new(),
@@ -239,24 +244,21 @@ impl FnExploration {
     }
 
     /// Run exploration until the bag empties, a budget dimension is
-    /// exhausted, or the function is rejected. Returns `true` if any
-    /// work was done.
+    /// exhausted, or the function is rejected.
     ///
     /// Exhaustion is *graceful*: the graph built so far stays, every
     /// frontier address still in the bag is annotated with
     /// [`Annotation::BudgetFrontier`], and [`FnExploration::exhausted`]
     /// records the dimension. Only verification failures set
     /// [`FnExploration::rejected`].
-    pub fn run(&mut self, cx: &ExploreCx<'_>) -> bool {
-        let mut worked = false;
+    pub fn run(&mut self, cx: &ExploreCx<'_>) {
         while let Some(item) = self.bag.pop() {
-            worked = true;
             if cx.meter.check_global().is_some() {
                 // The wall clock is reported at the lift level; keep the
                 // item so the driver can annotate the frontier across all
                 // functions.
                 self.bag.push(item);
-                return worked;
+                return;
             }
             let states = self.graph.state_count();
             if states > cx.limits.max_states {
@@ -266,7 +268,7 @@ impl FnExploration {
                     used: states as u64,
                     limit: cx.limits.max_states as u64,
                 });
-                return worked;
+                return;
             }
             if let Some(max_fuel) = cx.budget.max_fuel {
                 if self.steps as u64 >= max_fuel {
@@ -276,16 +278,15 @@ impl FnExploration {
                         used: self.steps as u64,
                         limit: max_fuel,
                     });
-                    return worked;
+                    return;
                 }
             }
             if self.rejected.is_some() {
                 self.bag.clear();
-                return worked;
+                return;
             }
             self.explore_item(cx, item);
         }
-        worked
     }
 
     /// Record budget exhaustion: annotate every address still queued in

@@ -102,11 +102,6 @@ impl HoareGraph {
         self.edges.iter().filter(move |e| e.from == id)
     }
 
-    /// Incoming edges of a vertex (backward dataflow passes).
-    pub fn predecessors(&self, id: VertexId) -> impl Iterator<Item = &Edge> {
-        self.edges.iter().filter(move |e| e.to == id)
-    }
-
     /// The distinct instructions labelling edges, by address.
     pub fn instructions(&self) -> BTreeMap<u64, &Instr> {
         let mut out = BTreeMap::new();

@@ -347,20 +347,19 @@ pub(crate) fn concurrency_reject(binary: &Binary) -> Option<RejectReason> {
 /// cached callers' verdicts without re-exploring them.
 pub(crate) fn assemble(
     explorations: BTreeMap<u64, FnExploration>,
-    mut internal_errors: BTreeMap<u64, String>,
     cached: BTreeMap<u64, FnLift>,
     result: &mut LiftResult,
 ) {
     let mut rejected_fns: Vec<u64> = explorations
         .iter()
-        .filter(|(a, e)| {
-            e.rejected.is_some() || e.exhausted.is_some() || internal_errors.contains_key(a)
+        .filter(|(_, e)| {
+            e.rejected.is_some() || e.exhausted.is_some() || e.internal_error.is_some()
         })
         .map(|(a, _)| *a)
         .collect();
     rejected_fns.extend(cached.iter().filter(|(_, f)| f.reject.is_some()).map(|(a, _)| *a));
     for (addr, e) in explorations {
-        let reject = if let Some(message) = internal_errors.remove(&addr) {
+        let reject = if let Some(message) = e.internal_error {
             Some(RejectReason::Internal { stage: "explore", message })
         } else {
             match &e.rejected {

@@ -10,6 +10,7 @@
 //! (assumed aliasing, assumed separation) plus a destroy branch that
 //! covers partially-overlapping concrete states.
 
+use crate::tau::MAX_MODELS_PER_STEP;
 use hgl_expr::Sym;
 use hgl_solver::{decide, Answer, Assumption, Ctx, Region, RegionRel};
 use std::collections::BTreeSet;
@@ -223,10 +224,13 @@ impl MemModel {
 
     /// Insert `region` (Definition 3.7 + the unknown-relation fork).
     ///
-    /// Returns one [`InsBranch`] per produced memory model. If the
-    /// number of branches would exceed `cap`, falls back to the single
-    /// destroy branch (always sound).
-    pub fn insert(&self, ctx: &Ctx, region: Region, cap: usize) -> Vec<InsBranch> {
+    /// Returns one [`InsBranch`] per produced memory model, at most
+    /// [`MAX_MODELS_PER_STEP`]. Where the forks would produce more, the
+    /// *last* ones are kept. The last branch is always the catch-all:
+    /// every tree of unknown relation destroyed and no alias assumed.
+    /// It covers every concrete state the others cover, so the cut
+    /// stays sound.
+    pub fn insert(&self, ctx: &Ctx, region: Region) -> Vec<InsBranch> {
         if region.is_unknown() {
             // Unknown address: overapproximates any relation; the model
             // is left untouched and the caller must forget all values
@@ -247,9 +251,9 @@ impl MemModel {
                 assumptions: Vec::new(),
             }];
         }
-        // ins_rec truncates at fork sites, so the branch count is
-        // bounded by `cap` on return.
-        let mut branches = ins_rec(ctx, MemTree::leaf(region), &self.trees, cap);
+        // ins_rec cuts at fork sites, so the branch count is bounded by
+        // the cap on return.
+        let mut branches = ins_rec(ctx, MemTree::leaf(region), &self.trees, MAX_MODELS_PER_STEP);
         for b in &mut branches {
             let model = std::mem::take(&mut b.model);
             b.model = model.canon();
@@ -486,8 +490,27 @@ impl MemModel {
     }
 }
 
+/// Cut `branches` to its last `cap` entries.
+///
+/// Every branch list `ins_rec` returns ends with its catch-all: the
+/// branch with every tree of unknown relation destroyed and no alias
+/// assumed. By induction over the relation cases: the leaf case is one
+/// such branch; the separate, enclosed and overlap cases map their
+/// recursive result in order; the alias and encloses cases end with
+/// the product of two lists' last branches; and the unknown case ends
+/// with its destroy fork. The catch-all covers the input state, so
+/// keeping the tail is sound and keeping the head is not. The same
+/// holds for the states `tau::insert_regions` builds from the branches
+/// in order, which is why it cuts with this function too.
+pub(crate) fn keep_last<T>(branches: &mut Vec<T>, cap: usize) {
+    if branches.len() > cap {
+        branches.drain(..branches.len() - cap);
+    }
+}
+
 /// The recursive `ins` of Definition 3.7 over a tree list, extended
-/// with the unknown-relation fork. `t0` is the tree being inserted.
+/// with the unknown-relation fork. `t0` is the tree being inserted;
+/// every fork site cuts its branches with [`keep_last`].
 fn ins_rec(ctx: &Ctx, t0: MemTree, trees: &[MemTree], cap: usize) -> Vec<InsBranch> {
     let Some((t1, rest)) = trees.split_first() else {
         return vec![InsBranch {
@@ -515,9 +538,8 @@ fn ins_rec(ctx: &Ctx, t0: MemTree, trees: &[MemTree], cap: usize) -> Vec<InsBran
             // insAL: merge node sets; reinsert the children of both.
             let merged_regions: BTreeSet<Region> =
                 t0.regions.union(&t1.regions).cloned().collect();
-            let mut sub = t1.children.clone();
             let mut branches = vec![InsBranch {
-                model: sub.clone(),
+                model: t1.children.clone(),
                 destroyed: Vec::new(),
                 assumed_alias: None,
                 assumptions: Vec::new(),
@@ -530,11 +552,8 @@ fn ins_rec(ctx: &Ctx, t0: MemTree, trees: &[MemTree], cap: usize) -> Vec<InsBran
                     }
                 }
                 branches = next;
-                if branches.len() > cap {
-                    branches.truncate(cap);
-                }
+                keep_last(&mut branches, cap);
             }
-            let _ = &mut sub;
             let out: Vec<InsBranch> = branches
                 .into_iter()
                 .map(|b| InsBranch {
@@ -592,9 +611,7 @@ fn ins_rec(ctx: &Ctx, t0: MemTree, trees: &[MemTree], cap: usize) -> Vec<InsBran
                     out.push(merge_effects(&b1, b2));
                 }
             }
-            if out.len() > cap {
-                out.truncate(cap);
-            }
+            keep_last(&mut out, cap);
             with(out, &assumptions)
         }
         RegionRel::Overlap => {
@@ -676,11 +693,7 @@ fn ins_rec(ctx: &Ctx, t0: MemTree, trees: &[MemTree], cap: usize) -> Vec<InsBran
                 b.destroyed.extend(destroyed.iter().cloned());
                 out.push(b);
             }
-            if out.len() > cap {
-                // Keep the destroy branches (they are the sound
-                // catch-all) by retaining from the end.
-                out.drain(..out.len() - cap);
-            }
+            keep_last(&mut out, cap);
             out
         }
     }
@@ -734,10 +747,6 @@ mod tests {
         Expr::sym(Sym::Init(r))
     }
 
-    fn insert_all(ctx: &Ctx, m: &MemModel, r: Region) -> Vec<InsBranch> {
-        m.insert(ctx, r, 64)
-    }
-
     /// Example 3.8 / Figure 2: the three-instruction snippet produces
     /// the aliasing and non-aliasing models.
     #[test]
@@ -748,14 +757,14 @@ mod tests {
         let rsi8 = Region::new(sym(Reg::Rsi), 8);
 
         let m0 = MemModel::empty();
-        let after1 = insert_all(&ctx, &m0, rdi8);
+        let after1 = m0.insert(&ctx, rdi8);
         assert_eq!(after1.len(), 1, "insert into empty model is deterministic");
 
         // Insert [rsi+4, 4]: unknown vs [rdi, 8] (different params, no
         // same-size alias possible) → separate + destroy forks.
         let after2: Vec<InsBranch> = after1
             .iter()
-            .flat_map(|b| insert_all(&ctx, &b.model, rsi4))
+            .flat_map(|b| b.model.insert(&ctx, rsi4))
             .collect();
         assert!(after2.len() >= 2);
 
@@ -768,7 +777,7 @@ mod tests {
         let mut fig2a = false;
         let mut fig2b = false;
         for b in &after2 {
-            for b2 in insert_all(&ctx, &b.model, rsi8) {
+            for b2 in b.model.insert(&ctx, rsi8) {
                 let m = &b2.model;
                 let enclosed = m.structural_relation(&rsi4, &rsi8) == Some(RegionRel::Enclosed);
                 match m.structural_relation(&rdi8, &rsi8) {
@@ -788,7 +797,7 @@ mod tests {
         let outer = Region::new(sym(Reg::Rsi), 8);
         let inner = Region::new(sym(Reg::Rsi).add(Expr::imm(4)), 4);
         let m = MemModel { trees: vec![MemTree::leaf(outer)] };
-        let branches = insert_all(&ctx, &m, inner);
+        let branches = m.insert(&ctx, inner);
         assert_eq!(branches.len(), 1, "necessary relation: no fork");
         assert_eq!(branches[0].model.structural_relation(&inner, &outer), Some(RegionRel::Enclosed));
     }
@@ -799,7 +808,7 @@ mod tests {
         let a = Region::stack(-8, 8);
         let b = Region::stack(-16, 8);
         let m = MemModel { trees: vec![MemTree::leaf(a)] };
-        let branches = insert_all(&ctx, &m, b);
+        let branches = m.insert(&ctx, b);
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].model.structural_relation(&a, &b), Some(RegionRel::Separate));
         assert!(branches[0].destroyed.is_empty());
@@ -811,7 +820,7 @@ mod tests {
         let a = Region::new(sym(Reg::Rdi), 4);
         let b = Region::new(sym(Reg::Rsi), 4);
         let m = MemModel { trees: vec![MemTree::leaf(a)] };
-        let branches = insert_all(&ctx, &m, b);
+        let branches = m.insert(&ctx, b);
         // alias + separate + destroy
         assert_eq!(branches.len(), 3);
         assert!(branches.iter().any(|br| br.assumed_alias.is_some()));
@@ -827,7 +836,7 @@ mod tests {
         let inner = Region::new(sym(Reg::Rsi).add(Expr::imm(4)), 4);
         let outer = Region::new(sym(Reg::Rsi), 8);
         let m = MemModel { trees: vec![MemTree::leaf(inner)] };
-        let branches = insert_all(&ctx, &m, outer);
+        let branches = m.insert(&ctx, outer);
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].model.structural_relation(&inner, &outer), Some(RegionRel::Enclosed));
         assert_eq!(branches[0].model.trees.len(), 1);
@@ -841,7 +850,7 @@ mod tests {
         let a = Region::new(sym(Reg::Rdi), 4);
         let b = Region::new(sym(Reg::Rsi), 4);
         let m = MemModel { trees: vec![MemTree::leaf(a)] };
-        let alias = insert_all(&ctx, &m, b)
+        let alias = m.insert(&ctx, b)
             .into_iter()
             .find(|br| br.assumed_alias.is_some())
             .expect("alias fork");
@@ -935,9 +944,102 @@ mod tests {
     fn insert_unknown_address_destroys_all() {
         let ctx = Ctx::new();
         let m = MemModel { trees: vec![MemTree::leaf(Region::stack(-8, 8))] };
-        let branches = m.insert(&ctx, Region::new(Expr::bottom(), 8), 64);
+        let branches = m.insert(&ctx, Region::new(Expr::bottom(), 8));
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].destroyed.len(), 1);
+    }
+
+    /// Does branch `b` cover the concrete state `env`: its model holds
+    /// there, and so does its assumed alias, if any?
+    fn covers(b: &InsBranch, env: &impl Fn(Sym) -> u64) -> bool {
+        let at = |r: &Region| r.addr.eval(env, &|_, _| None);
+        let alias_holds = match &b.assumed_alias {
+            Some((r0, r1)) => at(r0) == at(r1),
+            None => true,
+        };
+        alias_holds && b.model.holds_in(env) == Some(true)
+    }
+
+    /// The fork cap keeps the catch-all, so every cap keeps a branch
+    /// for each state the input holds in. Two hand-built inserts fork
+    /// past small caps, one through each product site of `ins_rec`:
+    ///
+    /// - alias: `[rbx0,24] ⊇ {[rdi0,8], [rdx0,8]}` into
+    ///   `[rbx0,24] ⊇ {[rsi0,8]}` merges the nodes and re-inserts both
+    ///   children, 13 branches. The first 3 all assume `rdi0 == rsi0`.
+    /// - encloses: `[rbx0,24] ⊇ {[rdi0,8]}` into `{[rbx0+8,8]},
+    ///   {[rsi0,8]}` moves `[rbx0+8,8]` under it, 6 branches. The first
+    ///   2 assume `rbx0+8 == rdi0`.
+    ///
+    /// Each state puts every initial register at 0x1000 plus the offset
+    /// listed for it (0 if none); both inputs hold in each of them.
+    #[test]
+    fn fork_cap_keeps_the_catch_all() {
+        let ctx = Ctx::new();
+        let r = |reg: Reg, off: u64, size: u64| Region::new(sym(reg).add(Expr::imm(off)), size);
+        let tree = |region: Region, children: Vec<MemTree>| MemTree {
+            regions: BTreeSet::from([region]),
+            children: MemModel { trees: children },
+        };
+        let leaf = |reg: Reg| MemTree::leaf(r(reg, 0, 8));
+        let cases = [
+            (
+                tree(r(Reg::Rbx, 0, 24), vec![leaf(Reg::Rdi), leaf(Reg::Rdx)]),
+                vec![tree(r(Reg::Rbx, 0, 24), vec![leaf(Reg::Rsi)])],
+                13,
+                vec![[(Reg::Rdi, 8), (Reg::Rdx, 16)], [(Reg::Rdi, 8), (Reg::Rdx, 0)]],
+            ),
+            (
+                tree(r(Reg::Rbx, 0, 24), vec![leaf(Reg::Rdi)]),
+                vec![MemTree::leaf(r(Reg::Rbx, 8, 8)), leaf(Reg::Rsi)],
+                6,
+                vec![[(Reg::Rdi, 0), (Reg::Rsi, 16)]],
+            ),
+        ];
+        for (t0, forest, forks, states) in cases {
+            let uncapped = ins_rec(&ctx, t0.clone(), &forest, usize::MAX);
+            assert_eq!(uncapped.len(), forks);
+            let catch_all = uncapped.last().expect("branches");
+            assert_eq!(catch_all.assumed_alias, None);
+            for state in states {
+                let env = move |s: Sym| {
+                    let off = |reg| state.iter().find(|(g, _)| *g == reg).map_or(0, |(_, o)| *o);
+                    match s {
+                        Sym::Init(reg) => 0x1000 + off(reg),
+                        _ => 0,
+                    }
+                };
+                for cap in 1..=forks {
+                    let capped = ins_rec(&ctx, t0.clone(), &forest, cap);
+                    assert!(capped.iter().any(|b| covers(b, &env)), "cap {cap} lost {state:?}");
+                }
+            }
+            let capped = ins_rec(&ctx, t0, &forest, 3);
+            let kept = capped.last().expect("branches");
+            assert_eq!(kept.assumed_alias, None);
+            assert_eq!(kept.model, catch_all.model);
+            assert_eq!(kept.destroyed, catch_all.destroyed);
+        }
+    }
+
+    /// The paper's §1 destroy-only policy is the fork cap at 1: an
+    /// unknown-relation insert keeps exactly the catch-all, every tree
+    /// destroyed and no alias assumed.
+    #[test]
+    fn cap_one_keeps_only_the_destroy_branch() {
+        let ctx = Ctx::new();
+        let region = |r: Reg| Region::new(sym(r), 8);
+        let forest = [MemTree::leaf(region(Reg::Rdi)), MemTree::leaf(region(Reg::Rsi))];
+        let inserted = MemTree::leaf(region(Reg::Rdx));
+        let uncapped = ins_rec(&ctx, inserted.clone(), &forest, usize::MAX);
+        assert!(uncapped.len() > 1, "the insert forks");
+        let branches = ins_rec(&ctx, inserted.clone(), &forest, 1);
+        assert_eq!(branches.len(), 1);
+        let b = &branches[0];
+        assert_eq!(b.assumed_alias, None);
+        assert_eq!(b.model, MemModel { trees: vec![inserted] });
+        let destroyed: BTreeSet<Region> = b.destroyed.iter().copied().collect();
+        assert_eq!(destroyed, BTreeSet::from([region(Reg::Rdi), region(Reg::Rsi)]));
     }
 
     /// Insert `r` into `m` under a fresh query cache; returns the
@@ -946,7 +1048,7 @@ mod tests {
     fn insert_counting(m: &MemModel, r: Region) -> (Vec<InsBranch>, u64) {
         let cache = std::sync::Arc::new(hgl_solver::QueryCache::new());
         let ctx = Ctx::new().with_cache(std::sync::Arc::clone(&cache));
-        let branches = m.insert(&ctx, r, 64);
+        let branches = m.insert(&ctx, r);
         let stats = cache.stats();
         (branches, stats.hits + stats.misses)
     }

@@ -8,7 +8,7 @@
 //! the predicate is then transformed per instruction semantics.
 
 use crate::diag::{Annotation, Diagnostics, ProofObligation, VerificationError};
-use crate::memmodel::InsBranch;
+use crate::memmodel::{keep_last, InsBranch};
 use crate::pred::{FlagState, Pred, Shared, SymState};
 use hgl_elf::Binary;
 use hgl_expr::{Clause, Expr, Linear, Rel, Sym};
@@ -16,7 +16,11 @@ use hgl_solver::{Ctx, Layout, Provenance, Region, RegionRel};
 use hgl_x86::{Cond, Instr, MemOperand, Mnemonic, Operand, Reg, RegRef, RepPrefix, Width};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Maximum memory models produced by one insertion.
+/// Maximum memory models produced by one insertion, and states produced
+/// by one instruction's insertions. A cut keeps the last ones, which
+/// end with the catch-all branch (see [`MemModel::insert`]).
+///
+/// [`MemModel::insert`]: crate::memmodel::MemModel::insert
 pub const MAX_MODELS_PER_STEP: usize = 16;
 
 /// Maximum entries enumerated from one jump table. A table with more
@@ -328,18 +332,12 @@ fn insert_regions(
                             ctx.diags.assume(a);
                         }
                     }
+                    // Any other relation may touch the slot. An unknown
+                    // one is a stack-rooted write whose integrity cannot
+                    // be proved: caller-pointer writes are decided
+                    // Separate with an assumption.
                     RegionRel::Alias | RegionRel::Enclosed | RegionRel::Encloses
-                    | RegionRel::Overlap => {
-                        return Err(VerificationError::ReturnAddressClobbered {
-                            addr: instr.addr,
-                            region,
-                        });
-                    }
-                    RegionRel::Unknown => {
-                        // Unknown vs the return slot: if the write is
-                        // stack-rooted we must reject (cannot prove
-                        // integrity); caller-pointer writes were already
-                        // Separate-with-assumption above.
+                    | RegionRel::Overlap | RegionRel::Unknown => {
                         return Err(VerificationError::ReturnAddressClobbered {
                             addr: instr.addr,
                             region,
@@ -347,8 +345,7 @@ fn insert_regions(
                     }
                 }
             }
-            let branches: Vec<InsBranch> =
-                s.model.insert(&sctx, region, MAX_MODELS_PER_STEP);
+            let branches: Vec<InsBranch> = s.model.insert(&sctx, region);
             let mut branches = branches.into_iter();
             let last = branches.next_back();
             let apply = |mut ns: SymState, b: InsBranch, diags: &mut Diagnostics| {
@@ -378,9 +375,7 @@ fn insert_regions(
             }
         }
         states = out;
-        if states.len() > MAX_MODELS_PER_STEP {
-            states.truncate(MAX_MODELS_PER_STEP);
-        }
+        keep_last(&mut states, MAX_MODELS_PER_STEP);
     }
     Ok(states)
 }

@@ -115,7 +115,7 @@ fn build_models(ops: &[(u8, usize, usize)]) -> Vec<MemModel> {
         let m = models.last().expect("run starts with the empty model");
         let next = match kind {
             0 | 1 => {
-                let mut branches = m.insert(&ctx, pool_region(arg), 64);
+                let mut branches = m.insert(&ctx, pool_region(arg));
                 branches.swap_remove(pick % branches.len()).model
             }
             2 => m.remove_region(&pool_region(arg)),

@@ -88,7 +88,7 @@ fn shuffled(mut v: Vec<Region>, mut seed: u64) -> Vec<Region> {
 fn build(ctx: &Ctx, regions: &[Region]) -> MemModel {
     let mut model = MemModel::empty();
     for r in regions {
-        let mut branches = model.insert(ctx, *r, 64);
+        let mut branches = model.insert(ctx, *r);
         assert_eq!(branches.len(), 1, "decidable insert must not fork: {r}");
         let b = branches.pop().expect("one branch");
         assert!(b.destroyed.is_empty(), "buddy regions never partially overlap: {r}");

@@ -13,7 +13,7 @@
 //!    membership instead).
 
 use hoare_lift::asm::Asm;
-use hoare_lift::core::lift::{LiftResult, RejectReason};
+use hoare_lift::core::lift::{LiftConfig, LiftResult, RejectReason};
 use hoare_lift::core::Lifter;
 use hoare_lift::core::VertexId;
 use hoare_lift::corpus::{coreutils, failures};
@@ -193,6 +193,25 @@ fn weird_trace_covered() {
     }
     assert!(m.rip == SENTINEL, "the hijacked path still returns (via the hidden ret)");
     check_covered(&bin, &result, &steps, "weird-edge (aliased)");
+}
+
+/// The §4 join refinement, as an ablation on the §2 binary: keeping
+/// states with different immediate code pointers apart is what resolves
+/// the jump-table-fed indirection. With it the lift has 13 states and
+/// resolves one indirection; without it the joins lose the code
+/// pointers, leaving 10 states and none resolved. Both lifts keep the
+/// one unresolved `jmp [rsi]` annotation.
+#[test]
+fn code_pointer_refinement_resolves_the_jump_table() {
+    let bin = failures::weird_edge();
+    for (refine, states, resolved) in [(true, 13, 1), (false, 10, 0)] {
+        let mut config = LiftConfig::default();
+        config.limits.code_pointer_refinement = refine;
+        let result = Lifter::new(&bin).with_config(config).lift_entry(bin.entry);
+        assert!(result.is_lifted(), "refinement {refine}: {:?}", result.reject_reason());
+        assert_eq!(result.state_count(), states, "refinement {refine}");
+        assert_eq!(result.indirection_counts(), (resolved, 1, 0), "refinement {refine}");
+    }
 }
 
 /// A four-case table of 8-byte slots behind `cmp rcx, 3; ja default`,
