@@ -180,11 +180,11 @@ mod tests {
             g.add_vertex(VertexId::At(a, 0), s.clone());
         }
         g.add_vertex(VertexId::Exit, s.clone());
-        g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x11, 0), nop_at(0x10));
-        g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x12, 0), nop_at(0x10));
-        g.add_edge(VertexId::At(0x11, 0), VertexId::At(0x13, 0), nop_at(0x11));
-        g.add_edge(VertexId::At(0x12, 0), VertexId::At(0x13, 0), nop_at(0x12));
-        g.add_edge(VertexId::At(0x13, 0), VertexId::Exit, nop_at(0x13));
+        crate::add_labelled(&mut g, VertexId::At(0x10, 0), VertexId::At(0x11, 0), nop_at(0x10));
+        crate::add_labelled(&mut g, VertexId::At(0x10, 0), VertexId::At(0x12, 0), nop_at(0x10));
+        crate::add_labelled(&mut g, VertexId::At(0x11, 0), VertexId::At(0x13, 0), nop_at(0x11));
+        crate::add_labelled(&mut g, VertexId::At(0x12, 0), VertexId::At(0x13, 0), nop_at(0x12));
+        crate::add_labelled(&mut g, VertexId::At(0x13, 0), VertexId::Exit, nop_at(0x13));
         g
     }
 

@@ -32,7 +32,7 @@ use crate::engine::Lattice;
 use hgl_core::refine::{IndirectResolver, Resolution};
 use hgl_core::tau::MAX_JUMP_TABLE;
 use hgl_elf::Binary;
-use hgl_x86::{decode, Mnemonic, Operand, Width};
+use hgl_x86::{Mnemonic, Operand, Width};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// An indirect jump the recovery could not bound, and why.
@@ -131,8 +131,7 @@ fn resolve_one(
     if !converged {
         return Err("value-set fixpoint did not converge".into());
     }
-    let window = binary.fetch_window(addr).ok_or("jump address outside text")?;
-    let instr = decode(window, addr).map_err(|e| format!("undecodable: {e}"))?;
+    let instr = graph.instr_at(addr).ok_or("no decoded instruction at the jump")?;
     if instr.mnemonic != Mnemonic::Jmp {
         return Err(format!("not an indirect jmp: {instr}"));
     }

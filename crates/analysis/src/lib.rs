@@ -53,3 +53,16 @@ pub use vsa::{StridedInterval, VsaEnv, VsaPass, MAX_CARDINALITY};
 pub use writes::{
     classify_region, classify_writes, ClassifiedWrite, WriteClass, WriteClassMap, WriteTotals,
 };
+
+#[cfg(test)]
+/// Unit-test graphs: record `instr` at its address and add the edge it
+/// labels.
+fn add_labelled(
+    g: &mut hgl_core::graph::HoareGraph,
+    from: hgl_core::graph::VertexId,
+    to: hgl_core::graph::VertexId,
+    instr: hgl_x86::Instr,
+) {
+    g.record_instr(instr);
+    g.add_edge(from, to);
+}

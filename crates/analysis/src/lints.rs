@@ -11,31 +11,26 @@ use crate::diag::{Diag, Rule, Severity};
 use crate::engine::fixpoint;
 use crate::passes::{CanReachExit, Reachability, StackDepth};
 use crate::writes::write_region;
-use hgl_core::graph::{HoareGraph, VertexId};
-use hgl_elf::Binary;
+use hgl_core::graph::{HoareGraph, Vertex, VertexId};
 use hgl_expr::{Expr, Sym};
 use hgl_solver::{Ctx, Layout, Region, RegionRel};
-use hgl_x86::{decode, Instr, Mnemonic, Reg};
+use hgl_x86::{Instr, Mnemonic, Reg};
 
-/// Decoded instructions at every vertex address of `graph`, in vertex
-/// order. Addresses that do not decode are skipped.
-fn decoded<'a>(
-    binary: &'a Binary,
-    graph: &'a HoareGraph,
-) -> impl Iterator<Item = (VertexId, &'a hgl_core::graph::Vertex, Instr)> + 'a {
-    graph.vertices.iter().filter_map(move |(&id, v)| {
-        let VertexId::At(addr, _) = id else { return None };
-        let window = binary.fetch_window(addr)?;
-        let instr = decode(window, addr).ok()?;
-        Some((id, v, instr))
-    })
+/// Every vertex of `graph` with the instruction decoded at its address,
+/// in vertex order. A vertex with no decoded instruction (its address
+/// did not decode, or only vacuous states reached it) is skipped.
+pub(crate) fn decoded(graph: &HoareGraph) -> impl Iterator<Item = (VertexId, &Vertex, &Instr)> {
+    graph
+        .vertices
+        .iter()
+        .filter_map(|(&id, v)| Some((id, v, graph.instr_at(id.addr()?)?)))
 }
 
 /// Callee-saved-register clobber: at every `ret` vertex, each of the
 /// System-V callee-saved registers must still hold its initial value.
-pub fn lint_callee_saved(binary: &Binary, entry: u64, graph: &HoareGraph) -> Vec<Diag> {
+pub fn lint_callee_saved(entry: u64, graph: &HoareGraph) -> Vec<Diag> {
     let mut out = Vec::new();
-    for (id, v, instr) in decoded(binary, graph) {
+    for (id, v, instr) in decoded(graph) {
         if instr.mnemonic != Mnemonic::Ret {
             continue;
         }
@@ -60,16 +55,11 @@ pub fn lint_callee_saved(binary: &Binary, entry: u64, graph: &HoareGraph) -> Vec
 /// separate from `[rsp0, 8]`. A proven hit is an error; an unprovable
 /// relation is a warning (the lifter destroys or rejects there, but
 /// the site is worth surfacing).
-pub fn lint_ret_slot(
-    binary: &Binary,
-    entry: u64,
-    graph: &HoareGraph,
-    layout: &std::sync::Arc<Layout>,
-) -> Vec<Diag> {
+pub fn lint_ret_slot(entry: u64, graph: &HoareGraph, layout: &std::sync::Arc<Layout>) -> Vec<Diag> {
     let ra = Region::return_address_slot();
     let mut out = Vec::new();
-    for (id, v, instr) in decoded(binary, graph) {
-        let Some(region) = write_region(&v.state.pred, &instr) else { continue };
+    for (id, v, instr) in decoded(graph) {
+        let Some(region) = write_region(&v.state.pred, instr) else { continue };
         let ctx = Ctx::from_clauses(v.state.pred.clauses.iter(), std::sync::Arc::clone(layout));
         let ans = v.state.model.relation(&ctx, &region, &ra);
         let (severity, what) = match ans.rel {
@@ -230,7 +220,8 @@ mod tests {
         i.addr = 0x10;
         i.len = 1;
         g.add_vertex(VertexId::Exit, s);
-        g.add_edge(VertexId::At(0x10, 0), VertexId::Exit, i);
+        g.record_instr(i);
+        g.add_edge(VertexId::At(0x10, 0), VertexId::Exit);
         let out = lint_reachability(0x10, &g, 10_000);
         assert_eq!(out.diags.len(), 1);
         assert_eq!(out.diags[0].rule, Rule::DeadNode);

@@ -146,7 +146,7 @@ impl Transfer for StackDepth<'_> {
                 return Depth::Range(d, d);
             }
         }
-        match rsp_delta(&edge.instr) {
+        match rsp_delta(self.graph.edge_instr(edge)) {
             Some(delta) => fact.shift(delta),
             None => Depth::Top,
         }
@@ -223,8 +223,8 @@ mod tests {
         g.add_vertex(VertexId::At(0x10, 0), s);
         g.add_vertex(VertexId::At(0x11, 0), sym.clone());
         g.add_vertex(VertexId::At(0x12, 0), sym);
-        g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x11, 0), instr(Mnemonic::Push, vec![], 0x10));
-        g.add_edge(VertexId::At(0x11, 0), VertexId::At(0x12, 0), instr(Mnemonic::Push, vec![], 0x11));
+        crate::add_labelled(&mut g, VertexId::At(0x10, 0), VertexId::At(0x11, 0), instr(Mnemonic::Push, vec![], 0x10));
+        crate::add_labelled(&mut g, VertexId::At(0x11, 0), VertexId::At(0x12, 0), instr(Mnemonic::Push, vec![], 0x11));
         let sol = fixpoint(&g, &StackDepth { graph: &g, entry: 0x10 }, 10_000);
         assert_eq!(sol.fact(VertexId::At(0x12, 0)), Some(&Depth::Range(-16, -16)));
     }

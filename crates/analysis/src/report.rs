@@ -106,8 +106,8 @@ pub fn analyze(binary: &Binary, lift: &LiftResult) -> AnalysisReport {
 
     for (&entry, f) in &lift.functions {
         let g = &f.graph;
-        report.diags.extend(lint_callee_saved(binary, entry, g));
-        report.diags.extend(lint_ret_slot(binary, entry, g, &layout));
+        report.diags.extend(lint_callee_saved(entry, g));
+        report.diags.extend(lint_ret_slot(entry, g, &layout));
         let depth = lint_stack_depth(entry, g, STACK_DEPTH_LIMIT, MAX_ITERATIONS);
         report.diags.extend(depth.diags);
         let reach = lint_reachability(entry, g, MAX_ITERATIONS);

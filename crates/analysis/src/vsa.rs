@@ -36,7 +36,7 @@
 use crate::engine::{Direction, Lattice, Transfer};
 use hgl_core::graph::{Edge, HoareGraph, VertexId};
 use hgl_core::tau::writes_first_operand;
-use hgl_expr::Linear;
+use hgl_expr::{gcd, Linear};
 use hgl_solver::rsp0_displacement;
 use hgl_x86::{Cond, Instr, MemOperand, Mnemonic, Operand, Reg, RegRef, Width};
 use std::collections::BTreeMap;
@@ -72,16 +72,6 @@ pub enum StridedInterval {
 }
 
 use StridedInterval::{Bottom, Range, Top};
-
-fn gcd(a: u64, b: u64) -> u64 {
-    let (mut a, mut b) = (a, b);
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
 
 impl StridedInterval {
     /// The canonical strided interval over `[lo, hi]` with the given
@@ -564,19 +554,19 @@ impl VsaPass<'_> {
     /// fits in 32 bits (otherwise the 32-bit view does not determine
     /// the 64-bit value). An infeasible outcome yields the bottom
     /// environment.
-    fn refine_jcc(env: &mut VsaEnv, cond: Cond, edge: &Edge) -> bool {
+    fn refine_jcc(env: &mut VsaEnv, cond: Cond, instr: &Instr, edge: &Edge) -> bool {
         let Some((r, k, w)) = env.last_cmp else { return true };
         // A `jcc` whose taken target *is* its fallthrough (`jcc +0`)
         // has a single successor reached under both outcomes: there is
         // no branch direction to refine on, and classifying the edge
         // as not-taken would wrongly exclude condition-holds states.
-        if let Some(Operand::Imm(t)) = edge.instr.operands.first() {
-            if *t as u64 == edge.instr.next_addr() {
+        if let Some(Operand::Imm(t)) = instr.operands.first() {
+            if *t as u64 == instr.next_addr() {
                 return true;
             }
         }
         let taken = match edge.to {
-            VertexId::At(a, _) => a != edge.instr.next_addr(),
+            VertexId::At(a, _) => a != instr.next_addr(),
             VertexId::Exit => return true,
         };
         let c = if taken { cond } else { cond.negate() };
@@ -624,7 +614,7 @@ impl VsaPass<'_> {
     /// One instruction's abstract step.
     fn step(&self, edge: &Edge, fact: &VsaEnv) -> VsaEnv {
         let mut env = fact.clone();
-        let instr = &edge.instr;
+        let instr = self.graph.edge_instr(edge);
         let rsp_disp = self.rsp_disp(edge.from);
         let dst = instr.operands.first().copied();
         let src = instr.operands.get(1).copied();
@@ -742,7 +732,7 @@ impl VsaPass<'_> {
                 };
             }
             Mnemonic::Jcc(c) => {
-                if !VsaPass::refine_jcc(&mut env, c, edge) {
+                if !VsaPass::refine_jcc(&mut env, c, instr, edge) {
                     return VsaEnv::bottom();
                 }
             }
@@ -942,12 +932,12 @@ mod tests {
         for a in [0x10u64, 0x12, 0x14] {
             g.add_vertex(VertexId::At(a, 0), s.clone());
         }
-        g.add_edge(
+        crate::add_labelled(&mut g, 
             VertexId::At(0x10, 0),
             VertexId::At(0x12, 0),
             instr_at(Mnemonic::Mov, vec![reg32(Reg::Rax), reg32(Reg::Rdi)], Width::B4, 0x10),
         );
-        g.add_edge(
+        crate::add_labelled(&mut g, 
             VertexId::At(0x12, 0),
             VertexId::At(0x14, 0),
             instr_at(Mnemonic::And, vec![reg32(Reg::Rax), Operand::Imm(7)], Width::B4, 0x12),
@@ -969,7 +959,7 @@ mod tests {
             g.add_vertex(VertexId::At(a, 0), s.clone());
         }
         // 0x10: mov rax, 20 ; then clamp comes only from the branch.
-        g.add_edge(
+        crate::add_labelled(&mut g, 
             VertexId::At(0x10, 0),
             VertexId::At(0x14, 0),
             instr_at(
@@ -980,8 +970,8 @@ mod tests {
             ),
         );
         let jcc = instr_at(Mnemonic::Jcc(Cond::Be), vec![Operand::Imm(0x40)], Width::B8, 0x14);
-        g.add_edge(VertexId::At(0x14, 0), VertexId::At(0x40, 0), jcc.clone());
-        g.add_edge(VertexId::At(0x14, 0), VertexId::At(0x16, 0), jcc);
+        crate::add_labelled(&mut g, VertexId::At(0x14, 0), VertexId::At(0x40, 0), jcc.clone());
+        crate::add_labelled(&mut g, VertexId::At(0x14, 0), VertexId::At(0x16, 0), jcc);
         let sol = fixpoint(&g, &VsaPass { graph: &g, entry: 0x10 }, 10_000);
         let taken = sol.fact(VertexId::At(0x40, 0)).unwrap();
         assert_eq!(taken.reg(Reg::Rax), si(1, 0, 5));
@@ -999,7 +989,7 @@ mod tests {
         for a in [0x10u64, 0x14, 0x18, 0x40] {
             g.add_vertex(VertexId::At(a, 0), s.clone());
         }
-        g.add_edge(
+        crate::add_labelled(&mut g, 
             VertexId::At(0x10, 0),
             VertexId::At(0x14, 0),
             instr_at(
@@ -1009,13 +999,13 @@ mod tests {
                 0x10,
             ),
         );
-        g.add_edge(
+        crate::add_labelled(&mut g, 
             VertexId::At(0x14, 0),
             VertexId::At(0x18, 0),
             instr_at(Mnemonic::Cmp, vec![reg32(Reg::Rax), Operand::Imm(10)], Width::B4, 0x14),
         );
         let jcc = instr_at(Mnemonic::Jcc(Cond::Be), vec![Operand::Imm(0x40)], Width::B8, 0x18);
-        g.add_edge(VertexId::At(0x18, 0), VertexId::At(0x40, 0), jcc);
+        crate::add_labelled(&mut g, VertexId::At(0x18, 0), VertexId::At(0x40, 0), jcc);
         let sol = fixpoint(&g, &VsaPass { graph: &g, entry: 0x10 }, 10_000);
         let taken = sol.fact(VertexId::At(0x40, 0)).unwrap();
         // eax == 5 ≤ 10, so the branch is concretely taken with
@@ -1035,7 +1025,7 @@ mod tests {
         for a in [0x10u64, 0x12, 0x14, 0x16, 0x40] {
             g.add_vertex(VertexId::At(a, 0), s.clone());
         }
-        g.add_edge(
+        crate::add_labelled(&mut g, 
             VertexId::At(0x10, 0),
             VertexId::At(0x12, 0),
             instr_at(
@@ -1045,7 +1035,7 @@ mod tests {
                 0x10,
             ),
         );
-        g.add_edge(
+        crate::add_labelled(&mut g, 
             VertexId::At(0x12, 0),
             VertexId::At(0x14, 0),
             instr_at(
@@ -1056,8 +1046,8 @@ mod tests {
             ),
         );
         let jcc = instr_at(Mnemonic::Jcc(Cond::Be), vec![Operand::Imm(0x40)], Width::B8, 0x14);
-        g.add_edge(VertexId::At(0x14, 0), VertexId::At(0x40, 0), jcc.clone());
-        g.add_edge(VertexId::At(0x14, 0), VertexId::At(0x16, 0), jcc);
+        crate::add_labelled(&mut g, VertexId::At(0x14, 0), VertexId::At(0x40, 0), jcc.clone());
+        crate::add_labelled(&mut g, VertexId::At(0x14, 0), VertexId::At(0x16, 0), jcc);
         let sol = fixpoint(&g, &VsaPass { graph: &g, entry: 0x10 }, 10_000);
         assert!(sol.converged);
         // Both edges keep rax == 100; neither is marked unreachable.
@@ -1098,7 +1088,7 @@ mod tests {
         g.add_vertex(VertexId::At(0x10, 0), s.clone());
         g.add_vertex(VertexId::At(0x12, 0), s);
         let push = instr_at(Mnemonic::Push, vec![Operand::Imm(7)], Width::B8, 0x10);
-        g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x12, 0), push);
+        crate::add_labelled(&mut g, VertexId::At(0x10, 0), VertexId::At(0x12, 0), push);
         let pass = VsaPass { graph: &g, entry: 0x10 };
         let mut env = VsaEnv::entry();
         // function_entry pins rsp = rsp0, so the push stores at -8;
@@ -1119,7 +1109,7 @@ mod tests {
         for a in [0x10u64, 0x12, 0x14, 0x16] {
             g.add_vertex(VertexId::At(a, 0), s.clone());
         }
-        g.add_edge(
+        crate::add_labelled(&mut g, 
             VertexId::At(0x10, 0),
             VertexId::At(0x12, 0),
             instr_at(
@@ -1129,7 +1119,7 @@ mod tests {
                 0x10,
             ),
         );
-        g.add_edge(
+        crate::add_labelled(&mut g, 
             VertexId::At(0x12, 0),
             VertexId::At(0x14, 0),
             instr_at(
@@ -1141,7 +1131,7 @@ mod tests {
         );
         // jcc at 0x14 with len 2: taken target 0x16 == next_addr.
         let jcc = instr_at(Mnemonic::Jcc(Cond::Be), vec![Operand::Imm(0x16)], Width::B8, 0x14);
-        g.add_edge(VertexId::At(0x14, 0), VertexId::At(0x16, 0), jcc);
+        crate::add_labelled(&mut g, VertexId::At(0x14, 0), VertexId::At(0x16, 0), jcc);
         let sol = fixpoint(&g, &VsaPass { graph: &g, entry: 0x10 }, 10_000);
         let after = sol.fact(VertexId::At(0x16, 0)).unwrap();
         // rax == 3 satisfies `be`, so treating the lone edge as
@@ -1162,7 +1152,7 @@ mod tests {
         g.add_vertex(VertexId::At(0x10, 0), s.clone());
         g.add_vertex(VertexId::At(0x15, 0), s);
         let call = instr_at(Mnemonic::Call, vec![Operand::Imm(0x100)], Width::B8, 0x10);
-        g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x15, 0), call);
+        crate::add_labelled(&mut g, VertexId::At(0x10, 0), VertexId::At(0x15, 0), call);
         let pass = VsaPass { graph: &g, entry: 0x10 };
         let out = pass.transfer(&g.edges[0], &env);
         assert_eq!(out.reg(Reg::Rax), Top);

@@ -11,14 +11,13 @@
 //! [`hgl_core::tau::addr_expr`]), so a claim here talks about exactly
 //! the writes the lifter reasoned about.
 
-use hgl_core::graph::VertexId;
 use hgl_core::lift::LiftResult;
 use hgl_core::pred::Pred;
 use hgl_core::tau::{addr_expr, writes_first_operand};
 use hgl_elf::Binary;
 use hgl_expr::{Atom, Linear, Sym};
 use hgl_solver::{Ctx, Layout, Provenance, Region};
-use hgl_x86::{decode, Instr, Mnemonic, Operand, Reg};
+use hgl_x86::{Instr, Mnemonic, Operand, Reg};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -292,24 +291,22 @@ pub fn classify_region(ctx: &Ctx, region: &Region) -> WriteClass {
 }
 
 /// Classify every write site of every function in `lift`, merging the
-/// claims of all vertex invariants per instruction address. Output is
-/// sorted by (function, address).
+/// claims of all vertex invariants per instruction address. A vertex
+/// whose address has no decoded instruction in the graph is skipped.
+/// Output is sorted by (function, address).
 pub fn classify_writes(binary: &Binary, lift: &LiftResult) -> Vec<ClassifiedWrite> {
     let layout =
         std::sync::Arc::new(Layout { text: binary.text_ranges(), data: binary.data_ranges() });
     let mut out: BTreeMap<(u64, u64), ClassifiedWrite> = BTreeMap::new();
     for (&entry, f) in &lift.functions {
-        for (&id, v) in &f.graph.vertices {
-            let VertexId::At(addr, _) = id else { continue };
-            let Some(window) = binary.fetch_window(addr) else { continue };
-            let Ok(instr) = decode(window, addr) else { continue };
-            let Some(region) = write_region(&v.state.pred, &instr) else { continue };
+        for (_, v, instr) in crate::lints::decoded(&f.graph) {
+            let Some(region) = write_region(&v.state.pred, instr) else { continue };
             let ctx = Ctx::from_clauses(v.state.pred.clauses.iter(), layout.clone());
             let class = classify_region(&ctx, &region);
-            out.entry((entry, addr))
+            out.entry((entry, instr.addr))
                 .or_insert_with(|| ClassifiedWrite {
                     function: entry,
-                    addr,
+                    addr: instr.addr,
                     size: region.size,
                     classes: BTreeSet::new(),
                 })

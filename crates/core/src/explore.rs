@@ -11,7 +11,7 @@ use crate::VerificationError;
 use hgl_elf::Binary;
 use hgl_expr::Expr;
 use hgl_solver::{Layout, QueryCache};
-use hgl_x86::{decode, Instr};
+use hgl_x86::decode;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
@@ -68,8 +68,8 @@ pub struct BagItem {
     pub addr: u64,
     /// The symbolic state.
     pub state: SymState,
-    /// Edge that produced the state (source vertex and instruction).
-    pub from: Option<(VertexId, Instr)>,
+    /// Source vertex of the edge that produced the state.
+    pub from: Option<VertexId>,
 }
 
 /// A pending internal call discovered during exploration (§4.2.2):
@@ -79,8 +79,8 @@ pub struct BagItem {
 pub struct PendingReturn {
     /// Callee entry address.
     pub callee: u64,
-    /// The call-site vertex and instruction (for the edge).
-    pub from: (VertexId, Instr),
+    /// The call-site vertex (the edge's source).
+    pub from: VertexId,
     /// Return-site address.
     pub return_site: u64,
     /// Caller state at the return site.
@@ -332,8 +332,8 @@ impl FnExploration {
         let (vid, state) = match target {
             Some(i) => {
                 let vid = at(i);
-                if let Some((src, instr)) = from {
-                    self.graph.add_edge(src, vid, instr);
+                if let Some(src) = from {
+                    self.graph.add_edge(src, vid);
                 }
                 // Borrow, don't clone: the existing state is only read
                 // before the vertex is overwritten.
@@ -367,11 +367,11 @@ impl FnExploration {
                 let vid = at(sigs.len());
                 sigs.push(sig);
                 self.graph.add_vertex(vid, state.clone());
-                if let Some((src, instr)) = from {
+                if let Some(src) = from {
                     // A vertex created by this step has no incoming
                     // edge yet, so this one cannot be a duplicate:
                     // skip `add_edge`'s scan over every edge.
-                    self.graph.edges.push(Edge { from: src, to: vid, instr });
+                    self.graph.edges.push(Edge { from: src, to: vid });
                 }
                 (vid, state)
             }
@@ -408,6 +408,9 @@ impl FnExploration {
             }
         };
         self.extent.insert((addr, instr.len));
+        // The graph keeps the instruction: every edge out of `vid`, and
+        // every reader of this vertex, takes it from there.
+        let instr = self.graph.record_instr(instr);
 
         // Lines 10–17: step and push successors.
         self.steps += 1;
@@ -420,7 +423,7 @@ impl FnExploration {
             cache: cx.cache,
             metrics: cx.metrics,
         };
-        let stepped = step(&mut ctx, state, &instr, self.entry);
+        let stepped = step(&mut ctx, state, instr, self.entry);
         lap(cx.metrics, Phase::Tau, t);
         let successors = match stepped {
             Ok(s) => s,
@@ -438,7 +441,7 @@ impl FnExploration {
         for succ in successors.into_iter().rev() {
             match succ {
                 Successor::At(a, s) => {
-                    self.bag.push(BagItem { addr: a, state: s, from: Some((vid, instr.clone())) });
+                    self.bag.push(BagItem { addr: a, state: s, from: Some(vid) });
                 }
                 Successor::Return(s) => {
                     // All return paths share the Exit vertex: join.
@@ -447,17 +450,12 @@ impl FnExploration {
                         None => s,
                     };
                     self.graph.add_vertex(VertexId::Exit, joined);
-                    self.graph.add_edge(vid, VertexId::Exit, instr.clone());
+                    self.graph.add_edge(vid, VertexId::Exit);
                     self.returns = true;
                 }
                 Successor::CallInternal { callee, return_site, after } => {
                     self.callee_deps.entry(callee).or_insert(false);
-                    self.pending.push(PendingReturn {
-                        callee,
-                        from: (vid, instr.clone()),
-                        return_site,
-                        after,
-                    });
+                    self.pending.push(PendingReturn { callee, from: vid, return_site, after });
                 }
             }
         }
@@ -509,12 +507,7 @@ mod tests {
         e.bag.clear();
         e.pending.push(PendingReturn {
             callee: 0x402000,
-            from: (VertexId::At(0x401000, 0), {
-                let mut i = Instr::new(hgl_x86::Mnemonic::Call, vec![hgl_x86::Operand::Imm(0x402000)], hgl_x86::Width::B8);
-                i.addr = 0x401000;
-                i.len = 5;
-                i
-            }),
+            from: VertexId::At(0x401000, 0),
             return_site: 0x401005,
             after: SymState::function_entry(0x401000),
         });

@@ -2,7 +2,7 @@
 
 use crate::pred::SymState;
 use hgl_x86::Instr;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Identifies a vertex of the Hoare Graph.
@@ -17,6 +17,16 @@ pub enum VertexId {
     /// The exit state: `rip` equals the function's symbolic return
     /// address.
     Exit,
+}
+
+impl VertexId {
+    /// The instruction address of an `At` vertex; `None` for `Exit`.
+    pub fn addr(self) -> Option<u64> {
+        match self {
+            VertexId::At(a, _) => Some(a),
+            VertexId::Exit => None,
+        }
+    }
 }
 
 impl fmt::Display for VertexId {
@@ -42,15 +52,14 @@ pub struct Vertex {
 }
 
 /// An edge: a Hoare triple `{pre} instr {post}` where `pre`/`post` are
-/// the states at `from`/`to`.
-#[derive(Debug, Clone)]
+/// the states at `from`/`to` and `instr` is fetched at `from`'s address
+/// (Definition 3.1): [`HoareGraph::edge_instr`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     /// Source vertex.
     pub from: VertexId,
     /// Destination vertex.
     pub to: VertexId,
-    /// The disassembled instruction labelling this edge.
-    pub instr: Instr,
 }
 
 /// An extracted Hoare Graph for one function.
@@ -60,6 +69,10 @@ pub struct HoareGraph {
     pub vertices: BTreeMap<VertexId, Vertex>,
     /// Edges (may contain several per source for forks).
     pub edges: Vec<Edge>,
+    /// The instruction decoded at every address exploration stepped,
+    /// with or without outgoing edges. An address reached only by
+    /// vacuous states is never decoded: it has vertices but no entry.
+    decoded: BTreeMap<u64, Instr>,
 }
 
 impl HoareGraph {
@@ -78,18 +91,14 @@ impl HoareGraph {
             .collect()
     }
 
-    /// Number of distinct instruction addresses in the graph (the
-    /// "Instrs." column of Table 1). Includes vertices without
-    /// outgoing edges (e.g. a terminating `call exit`).
+    /// Number of distinct instruction addresses among the vertices and
+    /// edge sources, so a vertex without outgoing edges (e.g. a
+    /// terminating `call exit`) counts. Table 1's "Instrs." column
+    /// counts edge sources only
+    /// ([`LiftResult::instruction_count`](crate::lift::LiftResult::instruction_count)).
     pub fn instruction_count(&self) -> usize {
-        let mut addrs: Vec<u64> = self.edges.iter().map(|e| e.instr.addr).collect();
-        addrs.extend(self.vertices.keys().filter_map(|id| match id {
-            VertexId::At(a, _) => Some(*a),
-            VertexId::Exit => None,
-        }));
-        addrs.sort_unstable();
-        addrs.dedup();
-        addrs.len()
+        let ids = self.edges.iter().map(|e| e.from).chain(self.vertices.keys().copied());
+        ids.filter_map(VertexId::addr).collect::<BTreeSet<u64>>().len()
     }
 
     /// Number of symbolic states (the "Symbolic States" column).
@@ -102,13 +111,33 @@ impl HoareGraph {
         self.edges.iter().filter(move |e| e.from == id)
     }
 
-    /// The distinct instructions labelling edges, by address.
+    /// The distinct instructions labelling edges, by address. An
+    /// instruction at a vertex without outgoing edges is not one.
     pub fn instructions(&self) -> BTreeMap<u64, &Instr> {
-        let mut out = BTreeMap::new();
-        for e in &self.edges {
-            out.entry(e.instr.addr).or_insert(&e.instr);
-        }
-        out
+        self.edges.iter().map(|e| self.edge_instr(e)).map(|i| (i.addr, i)).collect()
+    }
+
+    /// Every decoded instruction, by address: a superset of [`instructions`](Self::instructions).
+    pub fn decoded(&self) -> impl ExactSizeIterator<Item = &Instr> {
+        self.decoded.values()
+    }
+
+    /// The instruction decoded at `addr`, if exploration decoded one.
+    pub fn instr_at(&self, addr: u64) -> Option<&Instr> {
+        self.decoded.get(&addr)
+    }
+
+    /// The instruction labelling `e`: the one at its source's address.
+    /// Panics if none is recorded there, which exploration and the
+    /// store codec rule out.
+    pub fn edge_instr(&self, e: &Edge) -> &Instr {
+        e.from.addr().and_then(|a| self.instr_at(a)).expect("edge source has a decoded instruction")
+    }
+
+    /// Record `instr` as the instruction at its address, keeping one
+    /// already recorded there, and return the recorded one.
+    pub fn record_instr(&mut self, instr: Instr) -> &Instr {
+        self.decoded.entry(instr.addr).or_insert(instr)
     }
 
     /// Store `state` at vertex `id`, replacing any state it held.
@@ -116,15 +145,12 @@ impl HoareGraph {
         self.vertices.insert(id, Vertex { state });
     }
 
-    /// Add an edge.
-    pub fn add_edge(&mut self, from: VertexId, to: VertexId, instr: Instr) {
-        // Dedup identical edges (re-exploration after joins).
-        if !self
-            .edges
-            .iter()
-            .any(|e| e.from == from && e.to == to && e.instr == instr)
-        {
-            self.edges.push(Edge { from, to, instr });
+    /// Add an edge unless the graph already has it (re-exploration
+    /// after joins).
+    pub fn add_edge(&mut self, from: VertexId, to: VertexId) {
+        let e = Edge { from, to };
+        if !self.edges.contains(&e) {
+            self.edges.push(e);
         }
     }
 }
@@ -133,7 +159,7 @@ impl fmt::Display for HoareGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Hoare Graph: {} states, {} edges", self.state_count(), self.edges.len())?;
         for e in &self.edges {
-            writeln!(f, "  {} --[{}]--> {}", e.from, e.instr, e.to)?;
+            writeln!(f, "  {} --[{}]--> {}", e.from, self.edge_instr(e), e.to)?;
         }
         Ok(())
     }
@@ -157,10 +183,15 @@ mod tests {
         g.add_vertex(VertexId::At(0x10, 0), SymState::function_entry(0x10));
         g.add_vertex(VertexId::At(0x11, 0), SymState::function_entry(0x10));
         g.add_vertex(VertexId::At(0x11, 1), SymState::function_entry(0x10));
-        g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x11, 0), nop_at(0x10));
-        g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x11, 1), nop_at(0x10));
+        g.record_instr(nop_at(0x10));
+        g.record_instr(nop_at(0x11));
+        g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x11, 0));
+        g.add_edge(VertexId::At(0x10, 0), VertexId::At(0x11, 1));
         // 0x10 has an outgoing edge; 0x11's vertices also count.
         assert_eq!(g.instruction_count(), 2);
+        // Only 0x10 labels an edge; both are decoded.
+        assert_eq!(g.instructions().keys().copied().collect::<Vec<_>>(), vec![0x10]);
+        assert_eq!(g.decoded().len(), 2);
         assert_eq!(g.state_count(), 3);
         assert_eq!(g.vertices_at(0x11).len(), 2);
         assert_eq!(g.successors(VertexId::At(0x10, 0)).count(), 2);
@@ -191,9 +222,11 @@ mod tests {
     #[test]
     fn edge_dedup() {
         let mut g = HoareGraph::new();
-        g.add_edge(VertexId::At(0, 0), VertexId::Exit, nop_at(0));
-        g.add_edge(VertexId::At(0, 0), VertexId::Exit, nop_at(0));
+        g.record_instr(nop_at(0));
+        g.add_edge(VertexId::At(0, 0), VertexId::Exit);
+        g.add_edge(VertexId::At(0, 0), VertexId::Exit);
         assert_eq!(g.edges.len(), 1);
+        assert_eq!(g.edge_instr(&g.edges[0]).addr, 0);
     }
 
     #[test]

@@ -223,15 +223,12 @@ pub struct LiftResult {
 }
 
 impl LiftResult {
-    /// Total number of distinct instruction addresses lifted.
+    /// Total number of distinct instruction addresses that label an edge
+    /// ([`HoareGraph::instructions`]; a terminating `call exit` labels
+    /// none): Table 1's "Instrs.", `export_json`'s `instruction_count`.
     pub fn instruction_count(&self) -> usize {
-        let mut addrs: Vec<u64> = self
-            .functions
-            .values()
-            .flat_map(|f| f.graph.instructions().keys().copied().collect::<Vec<_>>())
-            .collect();
-        addrs.sort_unstable();
-        addrs.dedup();
+        let addrs: BTreeSet<u64> =
+            self.functions.values().flat_map(|f| f.graph.instructions().into_keys()).collect();
         addrs.len()
     }
 

@@ -11,7 +11,7 @@ use crate::diag::{Annotation, Diagnostics, ProofObligation, VerificationError};
 use crate::memmodel::{keep_last, InsBranch};
 use crate::pred::{FlagState, Pred, Shared, SymState};
 use hgl_elf::Binary;
-use hgl_expr::{Clause, Expr, Linear, Rel, Sym};
+use hgl_expr::{gcd, Clause, Expr, Linear, Rel, Sym};
 use hgl_solver::{Ctx, Layout, Provenance, Region, RegionRel};
 use hgl_x86::{Cond, Instr, MemOperand, Mnemonic, Operand, Reg, RegRef, RepPrefix, Width};
 use std::collections::{BTreeMap, BTreeSet};
@@ -1022,14 +1022,6 @@ fn walk_table(ctx: &mut StepCtx<'_>, sctx: &Ctx, (addr, size): (Expr, u64)) -> O
     Some(targets)
 }
 
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
 /// Resolve `call` successors (§4.2).
 fn resolve_call(
     ctx: &mut StepCtx<'_>,
@@ -1531,6 +1523,52 @@ mod tests {
             matches!(r, Err(VerificationError::ReturnAddressClobbered { .. })),
             "got {r:?}"
         );
+    }
+
+    /// `push qword [rdx]` inserts two regions: the read `[rdx0, 8]`
+    /// into three parameter trees of unknown relation (15 branches)
+    /// and a stack tree, then the write `[rsp0 - 8, 8]`, whose
+    /// relation to that stack tree is unknown too, into each of them.
+    /// More than [`MAX_MODELS_PER_STEP`] states result, and the cut
+    /// keeps the last ones: the final state is the catch-all of both
+    /// inserts, no alias assumed and every unknown tree destroyed.
+    #[test]
+    fn two_region_fork_cut_keeps_the_catch_all() {
+        use crate::memmodel::{MemModel, MemTree};
+        let init = |r: Reg| Expr::sym(Sym::Init(r));
+        let read = Region::new(init(Reg::Rdx), 8);
+        let write = Region::new(init(Reg::Rsp).sub(Expr::imm(8)), 8);
+        let mut s0 = entry_state();
+        let mut trees: Vec<MemTree> = [Reg::Rdi, Reg::Rsi, Reg::Rcx]
+            .into_iter()
+            .map(|r| MemTree::leaf(Region::new(init(r), 8)))
+            .collect();
+        trees.push(MemTree::leaf(Region::new(init(Reg::Rsp).add(init(Reg::Rax)), 8)));
+        s0.model = Shared::new(MemModel { trees });
+        let mut push = Instr::new(
+            Mnemonic::Push,
+            vec![Operand::Mem(MemOperand::base_disp(Reg::Rdx, 0, Width::B8))],
+            Width::B8,
+        );
+        let bin = binary_with(&mut push);
+        let mut fresh = 0;
+        let mut diags = Diagnostics::default();
+        let mut ctx = StepCtx {
+            binary: &bin,
+            layout: &std::sync::Arc::new(Layout { text: bin.text_ranges(), data: bin.data_ranges() }),
+            indirect_hints: &BTreeMap::new(),
+            fresh: &mut fresh,
+            diags: &mut diags,
+            cache: &std::sync::Arc::new(hgl_solver::QueryCache::new()),
+            metrics: &crate::metrics::Metrics::new(),
+        };
+        let states = insert_regions(&mut ctx, s0.clone(), &push).expect("inserts");
+        assert_eq!(states.len(), MAX_MODELS_PER_STEP);
+        let last = states.last().expect("a state");
+        assert_eq!(last.pred.clauses, s0.pred.clauses, "the catch-all assumes no alias");
+        let left: BTreeSet<Region> =
+            last.model.trees.iter().flat_map(|t| t.all_regions()).copied().collect();
+        assert_eq!(left, BTreeSet::from([read, write]), "every unknown tree destroyed");
     }
 
     #[test]

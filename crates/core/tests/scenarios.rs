@@ -323,7 +323,7 @@ fn weird_edge_found() {
     for label_addr in f.graph.instructions().keys() {
         let _ = label_addr;
     }
-    let t0_found = f.graph.edges.iter().any(|e| e.instr.mnemonic == Mnemonic::Jmp
+    let t0_found = f.graph.edges.iter().any(|e| f.graph.edge_instr(e).mnemonic == Mnemonic::Jmp
         && matches!(e.to, VertexId::At(a, _) if bin.is_code(a) && a != gadget));
     assert!(t0_found, "intended jump-table targets present");
     // The aliasing fork produced an equality clause somewhere: the

@@ -45,7 +45,7 @@ impl CorrespondReport {
 
 fn edge_keys(g: &HoareGraph) -> Vec<String> {
     let mut keys: Vec<String> =
-        g.edges.iter().map(|e| format!("{} --[{}]--> {}", e.from, e.instr, e.to)).collect();
+        g.edges.iter().map(|e| format!("{} --[{}]--> {}", e.from, g.edge_instr(e), e.to)).collect();
     keys.sort();
     keys
 }

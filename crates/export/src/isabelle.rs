@@ -217,14 +217,15 @@ pub fn export_theory(result: &LiftResult, theory_name: &str) -> String {
 
         for (i, e) in f.graph.edges.iter().enumerate() {
             // The postcondition is the disjunction of the invariants of
-            // all destinations reachable from this source by this
-            // instruction (§2: "vertex 14 is translated to a Hoare
-            // triple … the disjunction of the invariants at 1a").
+            // all destinations reachable from this source, whose edges
+            // share its instruction (§2: "vertex 14 is translated to a
+            // Hoare triple … the disjunction of the invariants at 1a").
+            let instr = f.graph.edge_instr(e);
             let posts: Vec<String> = f
                 .graph
                 .edges
                 .iter()
-                .filter(|e2| e2.from == e.from && e2.instr == e.instr)
+                .filter(|e2| e2.from == e.from)
                 .map(|e2| format!("P_{}_{} \\<sigma>'", format_args!("{entry:x}"), vid_name(e2.to)))
                 .collect();
             let _ = writeln!(out, "lemma edge_{entry:x}_{i} [se_proofs]:");
@@ -237,7 +238,7 @@ pub fn export_theory(result: &LiftResult, theory_name: &str) -> String {
             let _ = writeln!(
                 out,
                 "  and \"fetch \\<sigma> = instr_at {:#x} ''{}''\"",
-                e.instr.addr, e.instr
+                instr.addr, instr
             );
             let _ = writeln!(out, "  and \"\\<sigma>' = exec_instr (fetch \\<sigma>) \\<sigma>\"");
             let _ = writeln!(out, "  shows \"{}\"", posts.join(" \\<or> "));

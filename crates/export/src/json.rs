@@ -427,15 +427,16 @@ pub fn export_json(result: &LiftResult) -> String {
         // Edges.
         o.push_str("      \"edges\": [\n");
         for (ei, e) in f.graph.edges.iter().enumerate() {
+            let instr = f.graph.edge_instr(e);
             o.push_str("        {");
             let _ = write!(
                 o,
                 " \"from\": {}, \"to\": {}, \"address\": \"{:#x}\", \"instruction\": ",
                 vid(e.from),
                 vid(e.to),
-                e.instr.addr,
+                instr.addr,
             );
-            write_json_string(&e.instr.to_string(), &mut o);
+            write_json_string(&instr.to_string(), &mut o);
             o.push_str(" }");
             if ei + 1 < f.graph.edges.len() {
                 o.push(',');
@@ -498,7 +499,7 @@ pub fn export_dot(result: &LiftResult, entry: u64) -> Option<String> {
     }
     for e in &f.graph.edges {
         let _ = write!(o, "  {} -> {} [label=", node_name(e.from), node_name(e.to));
-        write_json_string(&e.instr.to_string(), &mut o);
+        write_json_string(&f.graph.edge_instr(e).to_string(), &mut o);
         o.push_str("];\n");
     }
     let _ = writeln!(o, "}}");

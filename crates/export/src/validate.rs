@@ -24,7 +24,7 @@ use hgl_core::lift::LiftResult;
 use hgl_core::VertexId;
 use hgl_elf::Binary;
 use hgl_expr::Sym;
-use hgl_x86::{Instr, Mnemonic};
+use hgl_x86::Mnemonic;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -94,14 +94,15 @@ pub fn validate_lift(binary: &Binary, result: &LiftResult, config: &ValidateConf
     let mut rng = SmallRng::seed_from_u64(config.seed);
 
     for (entry, f) in &result.functions {
-        // Group edges by (from, instr).
-        let mut groups: BTreeMap<(VertexId, u64), Vec<usize>> = BTreeMap::new();
+        // Group edges by source: all of them are labelled by the
+        // instruction at its address.
+        let mut groups: BTreeMap<VertexId, Vec<usize>> = BTreeMap::new();
         for (i, e) in f.graph.edges.iter().enumerate() {
-            groups.entry((e.from, e.instr.addr)).or_default().push(i);
+            groups.entry(e.from).or_default().push(i);
         }
-        for ((from, _), edge_indices) in groups {
+        for (from, edge_indices) in groups {
             report.total += 1;
-            let instr: &Instr = &f.graph.edges[edge_indices[0]].instr;
+            let instr = f.graph.edge_instr(&f.graph.edges[edge_indices[0]]);
             if matches!(instr.mnemonic, Mnemonic::Call | Mnemonic::Syscall | Mnemonic::Cpuid | Mnemonic::Rdtsc) {
                 // External contract / nondeterministic instructions:
                 // axiomatized, not sampled.
@@ -116,10 +117,6 @@ pub fn validate_lift(binary: &Binary, result: &LiftResult, config: &ValidateConf
                 continue;
             }
             let pre = &f.graph.vertices[&from].state;
-            let addr = match from {
-                VertexId::At(a, _) => a,
-                VertexId::Exit => continue,
-            };
             let mut produced = 0;
             let mut failure: Option<String> = None;
             'sampling: for _ in 0..config.samples_per_edge {
@@ -128,7 +125,7 @@ pub fn validate_lift(binary: &Binary, result: &LiftResult, config: &ValidateConf
                 for _ in 0..config.sample_attempts {
                     let env = draw_env(pre, &mut rng, binary);
                     let lookup = |s: Sym| env.get(s);
-                    let Some(machine) = build_machine(pre, &env, binary, addr, &mut rng) else {
+                    let Some(machine) = build_machine(pre, &env, binary, instr.addr, &mut rng) else {
                         continue;
                     };
                     // Precondition must hold.

@@ -55,5 +55,5 @@ pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 pub use clause::{Clause, Rel};
 pub use expr::{interned_node_count, Expr, ExprKind, OpKind};
 pub use interval::Interval;
-pub use linear::{Atom, Linear};
+pub use linear::{gcd, Atom, Linear};
 pub use sym::Sym;

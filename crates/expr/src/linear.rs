@@ -39,6 +39,14 @@ impl fmt::Display for Atom {
     }
 }
 
+/// The greatest common divisor, with `gcd(0, b) == b`.
+pub fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
 /// A linear combination of atoms plus a constant, with wrapping 64-bit
 /// coefficient arithmetic. Contains ⊥ if the source expression did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,6 +209,15 @@ impl Linear {
 mod tests {
     use super::*;
     use hgl_x86::Reg;
+
+    #[test]
+    fn gcd_folds_from_zero() {
+        assert_eq!(gcd(0, 0), 0);
+        assert_eq!(gcd(0, 8), 8);
+        assert_eq!(gcd(8, 0), 8);
+        assert_eq!(gcd(12, 18), 6);
+        assert_eq!([8u64, 4, 6].into_iter().fold(0, gcd), 2);
+    }
 
     fn sym(r: Reg) -> Expr {
         Expr::sym(Sym::Init(r))

@@ -10,7 +10,7 @@ use crate::coverage::{Coverage, CoverageFloor};
 use crate::shrink::{shrink, ShrinkResult};
 use crate::trace::{EntryState, TraceOracle, Violation};
 use hgl_asm::Asm;
-use hgl_core::{Budget, BudgetMeter, LiftResult, Lifter, RejectReason, VertexId};
+use hgl_core::{Budget, BudgetMeter, LiftResult, Lifter, RejectReason};
 use hgl_corpus::{GenOptions, ProgramGen};
 use hgl_elf::Binary;
 use hgl_x86::Mnemonic;
@@ -158,10 +158,12 @@ pub fn entry_state(master_seed: u64, program: usize, entry: usize) -> EntryState
 /// lifter that explored the fall-through but recorded no edge for it.
 fn drop_jcc_fallthrough(lifted: &mut LiftResult) {
     for f in lifted.functions.values_mut() {
-        f.graph.edges.retain(|e| {
-            !(matches!(e.instr.mnemonic, Mnemonic::Jcc(_))
-                && matches!(e.to, VertexId::At(a, _) if a == e.instr.next_addr()))
+        let g = &f.graph;
+        let kept = g.edges.iter().filter(|e| {
+            let i = g.edge_instr(e);
+            !(matches!(i.mnemonic, Mnemonic::Jcc(_)) && e.to.addr() == Some(i.next_addr()))
         });
+        f.graph.edges = kept.copied().collect();
     }
 }
 

@@ -359,7 +359,7 @@ impl<'a> TraceOracle<'a> {
         let mut errs: Vec<String> = Vec::new();
         for &cand in prev {
             for e in f.graph.successors(cand) {
-                if e.instr.addr != prev_rip {
+                if f.graph.edge_instr(e).addr != prev_rip {
                     continue;
                 }
                 let VertexId::At(a, _) = e.to else { continue };
@@ -594,7 +594,7 @@ impl<'a> TraceOracle<'a> {
                     let mut errs = Vec::new();
                     for &cand in &frame.candidates {
                         for e in f.graph.successors(cand) {
-                            if e.instr.addr != prev_rip || e.to != VertexId::Exit {
+                            if f.graph.edge_instr(e).addr != prev_rip || e.to != VertexId::Exit {
                                 continue;
                             }
                             let dest = &f.graph.vertices[&VertexId::Exit].state;

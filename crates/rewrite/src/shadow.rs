@@ -84,7 +84,7 @@ fn branch_targets(lift: &hgl_core::lift::LiftResult) -> BTreeSet<u64> {
     for f in lift.functions.values() {
         for e in &f.graph.edges {
             if let VertexId::At(a, _) = e.to {
-                if a != e.instr.next_addr() {
+                if a != f.graph.edge_instr(e).next_addr() {
                     targets.insert(a);
                 }
             }

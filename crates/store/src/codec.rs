@@ -9,17 +9,18 @@
 //!   against the remaining input before allocating. The whole-payload
 //!   checksum in `store.rs` makes these paths unreachable for random
 //!   bit flips, but the decoder stands on its own.
-//! - **Edges store only `(from, to, instruction address)`.** The
-//!   instruction itself is re-decoded from the binary on load — sound
-//!   because the store's content hash proves the instruction bytes are
+//! - **Instructions store only their address, edges `(from, to)`.**
+//!   Each listed instruction is re-decoded once from the binary on
+//!   load — sound because the store's content hash proves the bytes
 //!   unchanged — which keeps artifacts small and reuses the one
-//!   decoder as the single source of instruction semantics.
+//!   decoder as the single source of instruction semantics. An edge
+//!   whose source address has no listed instruction is malformed.
 //! - **Round-tripping is identity** for every artifact the lifter can
 //!   produce, pinned by property tests in `tests/roundtrip.rs`.
 
 use hgl_core::budget::BudgetDim;
 use hgl_core::diag::{Annotation, ProofObligation, VerificationError};
-use hgl_core::graph::{HoareGraph, VertexId};
+use hgl_core::graph::{Edge, HoareGraph, VertexId};
 use hgl_core::lift::{FnLift, RejectReason};
 use hgl_core::pred::{FlagState, Pred, RegFile, Shared, SymState};
 use hgl_core::{MemModel, MemTree};
@@ -796,18 +797,21 @@ pub fn encode_fn_lift(f: &FnLift) -> Vec<u8> {
         put_vid(&mut w, *vid);
         put_state(&mut w, &v.state);
     }
+    w.len(f.graph.decoded().len());
+    for i in f.graph.decoded() {
+        w.u64(i.addr);
+    }
     w.len(f.graph.edges.len());
     for e in &f.graph.edges {
         put_vid(&mut w, e.from);
         put_vid(&mut w, e.to);
-        w.u64(e.instr.addr);
     }
     w.into_bytes()
 }
 
-/// Decode a per-function artifact, re-decoding edge instructions from
-/// `binary` (sound: the store verified the content hash over the
-/// artifact's byte extent before calling this).
+/// Decode a per-function artifact, decoding each listed instruction
+/// once from `binary` (sound: the store verified the content hash over
+/// the artifact's byte extent before calling this).
 pub fn decode_fn_lift(bytes: &[u8], binary: &Binary) -> R<FnLift> {
     let mut r = Reader::new(bytes);
     let entry = r.u64()?;
@@ -852,27 +856,23 @@ pub fn decode_fn_lift(bytes: &[u8], binary: &Binary) -> R<FnLift> {
         let state = get_state(&mut r)?;
         graph.add_vertex(vid, state);
     }
-    // Graphs have several edges per instruction address (one per
-    // predicate index), so the re-decode is memoized per address.
-    let mut decoded: BTreeMap<u64, hgl_x86::Instr> = BTreeMap::new();
-    for _ in 0..r.len(10)? {
+    for _ in 0..r.len(8)? {
+        let addr = r.u64()?;
+        let Some(window) = binary.fetch_window(addr) else {
+            return r.fail("instruction outside text");
+        };
+        let Ok(instr) = decode(window, addr) else {
+            return r.fail("instruction undecodable");
+        };
+        graph.record_instr(instr);
+    }
+    for _ in 0..r.len(2)? {
         let from = get_vid(&mut r)?;
         let to = get_vid(&mut r)?;
-        let addr = r.u64()?;
-        let instr = match decoded.get(&addr) {
-            Some(i) => i.clone(),
-            None => {
-                let Some(window) = binary.fetch_window(addr) else {
-                    return r.fail("edge instruction outside text");
-                };
-                let Ok(instr) = decode(window, addr) else {
-                    return r.fail("edge instruction undecodable");
-                };
-                decoded.insert(addr, instr.clone());
-                instr
-            }
-        };
-        graph.edges.push(hgl_core::Edge { from, to, instr });
+        if from.addr().and_then(|a| graph.instr_at(a)).is_none() {
+            return r.fail("edge source has no listed instruction");
+        }
+        graph.edges.push(Edge { from, to });
     }
     if !r.at_end() {
         return r.fail("trailing bytes");

@@ -8,11 +8,15 @@
 //! stored surface, byte equality implies structural equality of
 //! everything the store persists.
 
+use hgl_analysis::{analyze, classify_writes};
+use hgl_asm::Asm;
+use hgl_core::graph::HoareGraph;
 use hgl_core::lift::FnLift;
-use hgl_core::Lifter;
+use hgl_core::{LiftResult, Lifter};
 use hgl_corpus::xen::gen_study_binary;
 use hgl_elf::Binary;
 use hgl_store::{decode_fn_lift, encode_fn_lift};
+use hgl_x86::{Cond, Instr, Mnemonic, Operand, Reg, Width};
 use proptest::prelude::*;
 
 /// Round-trip every function of one lifted binary.
@@ -71,6 +75,70 @@ fn rejected_artifacts_roundtrip() {
         }
         assert!(saw_reject, "failure corpus binary produced no storable reject");
     }
+}
+
+/// `main: test rdi, rdi; je die; ret; die: call exit`. The terminating
+/// `call exit` has a vertex and a decoded instruction but no outgoing
+/// edge, so only the graph's instruction list carries it.
+fn exit_call_binary() -> Binary {
+    let mut asm = Asm::new();
+    asm.label("main");
+    asm.ins(Instr::new(
+        Mnemonic::Test,
+        vec![Operand::reg64(Reg::Rdi), Operand::reg64(Reg::Rdi)],
+        Width::B8,
+    ));
+    asm.jcc(Cond::E, "die");
+    asm.ret();
+    asm.label("die");
+    asm.call_ext("exit");
+    asm.entry("main").assemble().expect("assembles")
+}
+
+#[test]
+fn vertex_without_outgoing_edge_roundtrips_with_same_analysis() {
+    let binary = exit_call_binary();
+    let fresh = Lifter::new(&binary).lift_entry(binary.entry);
+    let f = &fresh.functions[&binary.entry];
+    let exit_call = f
+        .graph
+        .vertices
+        .keys()
+        .filter(|id| f.graph.successors(**id).next().is_none())
+        .find_map(|id| f.graph.instr_at(id.addr()?))
+        .expect("a decoded vertex without outgoing edges");
+    assert_eq!(exit_call.mnemonic, Mnemonic::Call);
+    assert!(!f.graph.instructions().contains_key(&exit_call.addr));
+    roundtrip_one(&binary, f);
+
+    let loaded = decode_fn_lift(&encode_fn_lift(f), &binary).expect("decodes");
+    assert_eq!(loaded.graph.instr_at(exit_call.addr), Some(exit_call));
+    let loaded = LiftResult {
+        functions: [(binary.entry, loaded)].into_iter().collect(),
+        ..fresh.clone()
+    };
+    // The call's return-address push is a classified write that only
+    // the vertex's own instruction can produce.
+    assert!(classify_writes(&binary, &fresh).iter().any(|w| w.addr == exit_call.addr));
+    assert_eq!(
+        format!("{:?}", analyze(&binary, &fresh)),
+        format!("{:?}", analyze(&binary, &loaded))
+    );
+}
+
+#[test]
+fn edge_source_without_listed_instruction_is_a_codec_error() {
+    let binary = exit_call_binary();
+    let fresh = Lifter::new(&binary).lift_entry(binary.entry);
+    let mut f = fresh.functions[&binary.entry].clone();
+    assert!(!f.graph.edges.is_empty());
+    // The same vertices and edges, but no instruction recorded.
+    let mut graph = HoareGraph::new();
+    graph.vertices = f.graph.vertices.clone();
+    graph.edges = f.graph.edges.clone();
+    f.graph = graph;
+    let err = decode_fn_lift(&encode_fn_lift(&f), &binary).expect_err("refused");
+    assert_eq!(err.what, "edge source has no listed instruction");
 }
 
 proptest! {

@@ -36,7 +36,8 @@ fn main() {
     println!("--- Lifted Hoare Graph ({} states, {} edges) ---", f.graph.state_count(), f.graph.edges.len());
     for e in &f.graph.edges {
         let weird = matches!(e.to, VertexId::At(a, _) if a == gadget);
-        println!("  {} --[{}]--> {}{}", e.from, e.instr, e.to, if weird { "   <== WEIRD EDGE" } else { "" });
+        let instr = f.graph.edge_instr(e);
+        println!("  {} --[{}]--> {}{}", e.from, instr, e.to, if weird { "   <== WEIRD EDGE" } else { "" });
     }
     let weird_vertices = f.graph.vertices_at(gadget);
     assert!(!weird_vertices.is_empty(), "the weird edge must be found");

@@ -117,7 +117,7 @@ fn check_covered(bin: &Binary, result: &LiftResult, steps: &[TraceStep], what: &
         }
         let edge_found = result.functions.values().any(|f| {
             f.graph.edges.iter().any(|e| {
-                e.instr.addr == s.pc
+                e.from.addr() == Some(s.pc)
                     && matches!(e.to, VertexId::At(a, _) if a == s.next)
             })
         });

@@ -27,7 +27,7 @@ use hoare_lift::elf::Binary;
 use hoare_lift::oracle::{
     run_campaign, CampaignConfig, Coverage, EntryState, TraceOracle, ViolationKind,
 };
-use hoare_lift::x86::{Instr, Mnemonic, Reg, Width};
+use hoare_lift::x86::Reg;
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -150,11 +150,7 @@ fn dead_node_lint_flags_orphan_vertex() {
     g.add_vertex(VertexId::At(entry, 0), SymState::function_entry(entry));
     g.add_vertex(orphan, SymState::function_entry(entry));
     g.add_vertex(VertexId::Exit, SymState::function_entry(entry));
-    g.add_edge(
-        VertexId::At(entry, 0),
-        VertexId::Exit,
-        Instr::new(Mnemonic::Ret, vec![], Width::B8),
-    );
+    g.add_edge(VertexId::At(entry, 0), VertexId::Exit);
 
     let out = lint_reachability(entry, &g, 10_000);
     let dead: Vec<_> = out.diags.iter().filter(|d| d.rule == Rule::DeadNode).collect();
