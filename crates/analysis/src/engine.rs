@@ -72,8 +72,8 @@ impl<F> Solution<F> {
     }
 }
 
-/// The cap on vertex recomputations that [`analyze`](crate::analyze)
-/// and the jump-table recovery pass to [`fixpoint`].
+/// The cap on vertex recomputations that the lints and the jump-table
+/// recovery pass to [`fixpoint`].
 pub(crate) const MAX_ITERATIONS: usize = 100_000;
 
 /// Run `pass` to fixpoint over `graph`.

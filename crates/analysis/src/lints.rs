@@ -8,13 +8,24 @@
 //! inspect.
 
 use crate::diag::{Diag, Rule, Severity};
-use crate::engine::fixpoint;
+use crate::engine::{fixpoint, MAX_ITERATIONS};
 use crate::passes::{CanReachExit, Reachability, StackDepth};
 use crate::writes::write_region;
 use hgl_core::graph::{HoareGraph, Vertex, VertexId};
+use hgl_elf::Binary;
 use hgl_expr::{Expr, Sym};
 use hgl_solver::{Ctx, Layout, Region, RegionRel};
 use hgl_x86::{Instr, Mnemonic, Reg};
+use std::sync::Arc;
+
+/// Stack depth in bytes above which `stack-depth` warns.
+const STACK_DEPTH_LIMIT: u64 = 1 << 20;
+
+/// The solver's view of `binary`: its text and data ranges, as
+/// [`lint_ret_slot`] and the write classifier read them.
+pub fn layout(binary: &Binary) -> Arc<Layout> {
+    Arc::new(Layout { text: binary.text_ranges(), data: binary.data_ranges() })
+}
 
 /// Every vertex of `graph` with the instruction decoded at its address,
 /// in vertex order. A vertex with no decoded instruction (its address
@@ -55,12 +66,12 @@ pub fn lint_callee_saved(entry: u64, graph: &HoareGraph) -> Vec<Diag> {
 /// separate from `[rsp0, 8]`. A proven hit is an error; an unprovable
 /// relation is a warning (the lifter destroys or rejects there, but
 /// the site is worth surfacing).
-pub fn lint_ret_slot(entry: u64, graph: &HoareGraph, layout: &std::sync::Arc<Layout>) -> Vec<Diag> {
+pub fn lint_ret_slot(entry: u64, graph: &HoareGraph, layout: &Arc<Layout>) -> Vec<Diag> {
     let ra = Region::return_address_slot();
     let mut out = Vec::new();
     for (id, v, instr) in decoded(graph) {
         let Some(region) = write_region(&v.state.pred, instr) else { continue };
-        let ctx = Ctx::from_clauses(v.state.pred.clauses.iter(), std::sync::Arc::clone(layout));
+        let ctx = Ctx::from_clauses(v.state.pred.clauses.iter(), Arc::clone(layout));
         let ans = v.state.model.relation(&ctx, &region, &ra);
         let (severity, what) = match ans.rel {
             // A separation that rests on a provenance *assumption* and
@@ -104,14 +115,11 @@ pub struct StackDepthOutcome {
     pub max_depth: Option<u64>,
 }
 
-/// Stack-depth bounds via the forward [`StackDepth`] fixpoint pass.
-pub fn lint_stack_depth(
-    entry: u64,
-    graph: &HoareGraph,
-    limit: u64,
-    max_iterations: usize,
-) -> StackDepthOutcome {
-    let sol = fixpoint(graph, &StackDepth { graph, entry }, max_iterations);
+/// Stack-depth bounds via the forward [`StackDepth`] fixpoint pass. It
+/// warns, and only warns, when the depth is unbounded at some vertex,
+/// when it exceeds 1 MiB, or when the fixpoint does not converge.
+pub fn lint_stack_depth(entry: u64, graph: &HoareGraph) -> StackDepthOutcome {
+    let sol = fixpoint(graph, &StackDepth { graph, entry }, MAX_ITERATIONS);
     let mut max_depth = Some(0u64);
     let mut unbounded_at: Option<VertexId> = None;
     let mut unbounded_count = 0usize;
@@ -144,14 +152,16 @@ pub fn lint_stack_depth(
             ),
         });
     } else if let Some(d) = max_depth {
-        if d > limit {
+        if d > STACK_DEPTH_LIMIT {
             diags.push(Diag {
                 function: entry,
                 severity: Severity::Warning,
                 rule: Rule::StackDepth,
                 node: None,
                 edge: None,
-                detail: format!("maximum stack depth {d:#x} exceeds the limit {limit:#x}"),
+                detail: format!(
+                    "maximum stack depth {d:#x} exceeds the limit {STACK_DEPTH_LIMIT:#x}"
+                ),
             });
         }
     }
@@ -162,7 +172,7 @@ pub fn lint_stack_depth(
             rule: Rule::StackDepth,
             node: None,
             edge: None,
-            detail: format!("fixpoint did not converge within {max_iterations} iterations"),
+            detail: format!("fixpoint did not converge within {MAX_ITERATIONS} iterations"),
         });
     }
     StackDepthOutcome { diags, max_depth }
@@ -181,9 +191,9 @@ pub struct ReachOutcome {
 
 /// Dead-node detection (forward [`Reachability`]) plus the backward
 /// [`CanReachExit`] census.
-pub fn lint_reachability(entry: u64, graph: &HoareGraph, max_iterations: usize) -> ReachOutcome {
-    let fwd = fixpoint(graph, &Reachability { entry }, max_iterations);
-    let bwd = fixpoint(graph, &CanReachExit, max_iterations);
+pub fn lint_reachability(entry: u64, graph: &HoareGraph) -> ReachOutcome {
+    let fwd = fixpoint(graph, &Reachability { entry }, MAX_ITERATIONS);
+    let bwd = fixpoint(graph, &CanReachExit, MAX_ITERATIONS);
     let mut diags = Vec::new();
     let mut reachable_states = 0usize;
     for (&id, &reached) in &fwd.facts {
@@ -222,7 +232,7 @@ mod tests {
         g.add_vertex(VertexId::Exit, s);
         g.record_instr(i);
         g.add_edge(VertexId::At(0x10, 0), VertexId::Exit);
-        let out = lint_reachability(0x10, &g, 10_000);
+        let out = lint_reachability(0x10, &g);
         assert_eq!(out.diags.len(), 1);
         assert_eq!(out.diags[0].rule, Rule::DeadNode);
         assert_eq!(out.diags[0].node, Some(VertexId::At(0x99, 0)));
@@ -235,7 +245,7 @@ mod tests {
         // Entry state alone: rsp == rsp0 everywhere, depth 0.
         let mut g = HoareGraph::new();
         g.add_vertex(VertexId::At(0x10, 0), SymState::function_entry(0x10));
-        let out = lint_stack_depth(0x10, &g, 1 << 20, 10_000);
+        let out = lint_stack_depth(0x10, &g);
         assert!(out.diags.is_empty());
         assert_eq!(out.max_depth, Some(0));
     }

@@ -1,12 +1,10 @@
 //! The per-binary analysis driver and its report.
 
 use crate::diag::{Diag, Severity};
-use crate::engine::MAX_ITERATIONS;
-use crate::lints::{lint_callee_saved, lint_reachability, lint_ret_slot, lint_stack_depth};
+use crate::lints::{layout, lint_callee_saved, lint_reachability, lint_ret_slot, lint_stack_depth};
 use crate::writes::{classify_writes, ClassifiedWrite, WriteTotals};
 use hgl_core::lift::LiftResult;
 use hgl_elf::Binary;
-use hgl_solver::Layout;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -20,9 +18,6 @@ pub const ANALYSES: [&str; 7] = [
     "exit-reachability",
     "vsa-unbounded-indirect",
 ];
-
-/// Stack depth in bytes above which `stack-depth` warns.
-const STACK_DEPTH_LIMIT: u64 = 1 << 20;
 
 /// Per-function analysis results.
 #[derive(Debug, Clone)]
@@ -94,8 +89,7 @@ impl fmt::Display for AnalysisReport {
 /// graphs, and the lints inspect whatever invariants were established
 /// before the reject.
 pub fn analyze(binary: &Binary, lift: &LiftResult) -> AnalysisReport {
-    let layout =
-        std::sync::Arc::new(Layout { text: binary.text_ranges(), data: binary.data_ranges() });
+    let layout = layout(binary);
     let mut report = AnalysisReport::default();
 
     let mut writes_by_fn: BTreeMap<u64, Vec<ClassifiedWrite>> = BTreeMap::new();
@@ -108,9 +102,9 @@ pub fn analyze(binary: &Binary, lift: &LiftResult) -> AnalysisReport {
         let g = &f.graph;
         report.diags.extend(lint_callee_saved(entry, g));
         report.diags.extend(lint_ret_slot(entry, g, &layout));
-        let depth = lint_stack_depth(entry, g, STACK_DEPTH_LIMIT, MAX_ITERATIONS);
+        let depth = lint_stack_depth(entry, g);
         report.diags.extend(depth.diags);
-        let reach = lint_reachability(entry, g, MAX_ITERATIONS);
+        let reach = lint_reachability(entry, g);
         report.diags.extend(reach.diags);
         // Value-set recovery over still-unresolved indirect jumps:
         // whatever it cannot bound is statically uncovered control

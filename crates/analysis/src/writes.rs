@@ -16,7 +16,7 @@ use hgl_core::pred::Pred;
 use hgl_core::tau::{addr_expr, writes_first_operand};
 use hgl_elf::Binary;
 use hgl_expr::{Atom, Linear, Sym};
-use hgl_solver::{Ctx, Layout, Provenance, Region};
+use hgl_solver::{Ctx, Provenance, Region};
 use hgl_x86::{Instr, Mnemonic, Operand, Reg};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -295,8 +295,7 @@ pub fn classify_region(ctx: &Ctx, region: &Region) -> WriteClass {
 /// whose address has no decoded instruction in the graph is skipped.
 /// Output is sorted by (function, address).
 pub fn classify_writes(binary: &Binary, lift: &LiftResult) -> Vec<ClassifiedWrite> {
-    let layout =
-        std::sync::Arc::new(Layout { text: binary.text_ranges(), data: binary.data_ranges() });
+    let layout = crate::lints::layout(binary);
     let mut out: BTreeMap<(u64, u64), ClassifiedWrite> = BTreeMap::new();
     for (&entry, f) in &lift.functions {
         for (_, v, instr) in crate::lints::decoded(&f.graph) {
@@ -368,6 +367,7 @@ impl WriteClassMap {
 mod tests {
     use super::*;
     use hgl_expr::Expr;
+    use hgl_solver::Layout;
 
     fn rsp0() -> Expr {
         Expr::sym(Sym::Init(Reg::Rsp))

@@ -43,13 +43,15 @@ pub struct ExploreCx<'a> {
 }
 
 /// Chained phase timing for the solver→decode→tau sequence that runs
-/// once per instruction: one timestamp per phase *boundary* instead of
-/// two per phase. The chain opens with one `Instant::now()`; each
+/// once per explored state: one timestamp per phase *boundary* instead
+/// of two per phase. The chain opens with one `Instant::now()`; each
 /// `lap` charges the time since the previous boundary to `phase` and
 /// becomes the next boundary. The few instructions of bookkeeping
 /// between phases (window fetch, extent insert, step-context setup)
 /// are charged to the following phase — negligible against halving
-/// the clock calls on the hot path.
+/// the clock calls on the hot path. The decode lap runs only when an
+/// address is decoded; a visit whose instruction the graph already
+/// holds skips it, so its lookup is charged to τ.
 fn lap(metrics: &Metrics, phase: Phase, prev: std::time::Instant) -> std::time::Instant {
     let now = std::time::Instant::now();
     metrics.record(phase, now.duration_since(prev));
@@ -382,35 +384,40 @@ impl FnExploration {
         // interval reasoning. Prune.
         let t = std::time::Instant::now();
         let sat_check = hgl_solver::Ctx::from_clauses(state.pred.clauses.iter(), Arc::clone(layout));
-        let t = lap(cx.metrics, Phase::Solver, t);
+        let mut t = lap(cx.metrics, Phase::Solver, t);
         if sat_check.is_unsat() {
             return;
         }
 
-        // Fetch and decode (the paper's `fetch`).
-        let Some(window) = binary.fetch_window(addr) else {
-            self.rejected = Some(VerificationError::JumpOutsideText { addr, target: addr });
-            return;
-        };
-        let decoded = decode(window, addr);
-        let t = lap(cx.metrics, Phase::Decode, t);
-        let instr = match decoded {
-            Ok(i) => i,
-            Err(e) => {
-                // A rejection caused by these bytes is still a cacheable
-                // outcome — record the window so the artifact store can
-                // detect when the bytes change.
-                self.extent.insert((addr, window.len().min(u8::MAX as usize) as u8));
-                cx.metrics.count_decode_reject(e.reject_key());
-                self.rejected =
-                    Some(VerificationError::Undecodable { addr, message: e.to_string() });
+        // Fetch and decode (the paper's `fetch`), once per address: the
+        // graph keeps the instruction, and every edge out of `vid`, and
+        // every reader of this vertex, takes it from there. A failed
+        // decode is never recorded, so it runs again at each visit.
+        if self.graph.instr_at(addr).is_none() {
+            let Some(window) = binary.fetch_window(addr) else {
+                self.rejected = Some(VerificationError::JumpOutsideText { addr, target: addr });
                 return;
+            };
+            let decoded = decode(window, addr);
+            t = lap(cx.metrics, Phase::Decode, t);
+            match decoded {
+                Ok(i) => {
+                    self.extent.insert((addr, i.len));
+                    self.graph.record_instr(i);
+                }
+                Err(e) => {
+                    // A rejection caused by these bytes is still a
+                    // cacheable outcome — record the window so the
+                    // artifact store can detect when the bytes change.
+                    self.extent.insert((addr, window.len().min(u8::MAX as usize) as u8));
+                    cx.metrics.count_decode_reject(e.reject_key());
+                    self.rejected =
+                        Some(VerificationError::Undecodable { addr, message: e.to_string() });
+                    return;
+                }
             }
-        };
-        self.extent.insert((addr, instr.len));
-        // The graph keeps the instruction: every edge out of `vid`, and
-        // every reader of this vertex, takes it from there.
-        let instr = self.graph.record_instr(instr);
+        }
+        let instr = self.graph.instr_at(addr).expect("decoded at the first visit");
 
         // Lines 10–17: step and push successors.
         self.steps += 1;

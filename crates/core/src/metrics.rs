@@ -10,10 +10,13 @@
 //! engine.
 //!
 //! The phases follow the pipeline's structure, not a strict partition
-//! of wall time: `tau` (symbolic stepping) *contains* the `solver`
-//! time spent deciding region relations during memory-model insertion,
-//! and the sum of phase times is less than total wall time (worklist
-//! bookkeeping, the compatible-vertex lookup, scheduling). `join`
+//! of wall time: `decode` counts the decodes performed, one per
+//! address a function's exploration steps (a revisit reads the
+//! graph's instruction and is charged to `tau`); `tau` (symbolic
+//! stepping) *contains* the `solver` time spent deciding region
+//! relations during memory-model insertion, and the sum of phase
+//! times is less than total wall time (worklist bookkeeping, the
+//! compatible-vertex lookup, scheduling). `join`
 //! includes Algorithm 1's covered check (line 4): a state that reaches
 //! a compatible vertex is joined once, and the join is compared with
 //! the vertex's state. So its count is every compatible visit plus
@@ -32,7 +35,10 @@ use std::time::{Duration, Instant};
 /// A pipeline phase with its own wall-time and count counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
-    /// Instruction fetch + decode.
+    /// Instruction fetch + decode: one count per decode performed.
+    /// Exploration decodes an address at its first visit only (and
+    /// again at each visit whose decode failed); a later visit reads
+    /// the graph's instruction and is charged to `tau`.
     Decode,
     /// The symbolic step function `τ` (includes nested solver time).
     Tau,

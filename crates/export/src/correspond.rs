@@ -11,8 +11,9 @@
 //! The checker reports every divergence it finds (capped) rather than
 //! failing fast, so a broken rewriter produces an actionable list.
 
-use hgl_core::graph::HoareGraph;
+use hgl_core::graph::{HoareGraph, VertexId};
 use hgl_core::{FnLift, LiftResult};
+use hgl_x86::Instr;
 use std::collections::BTreeSet;
 
 /// Cap on recorded mismatch strings; counting continues past it.
@@ -43,11 +44,24 @@ impl CorrespondReport {
     }
 }
 
-fn edge_keys(g: &HoareGraph) -> Vec<String> {
-    let mut keys: Vec<String> =
-        g.edges.iter().map(|e| format!("{} --[{}]--> {}", e.from, g.edge_instr(e), e.to)).collect();
-    keys.sort();
+/// An edge as compared: its endpoints and the instruction at its
+/// source.
+type EdgeKey<'g> = (VertexId, VertexId, &'g Instr);
+
+/// `g`'s edges, sorted by `(from, to)`.
+fn edge_keys(g: &HoareGraph) -> Vec<EdgeKey<'_>> {
+    let mut keys: Vec<EdgeKey<'_>> =
+        g.edges.iter().map(|e| (e.from, e.to, g.edge_instr(e))).collect();
+    keys.sort_unstable_by_key(|&(from, to, _)| (from, to));
     keys
+}
+
+/// The edges of `xs` that `ys` lacks, or holds with another
+/// instruction at the source, as text. Only a mismatch is formatted.
+fn unmatched<'a>(xs: &'a [EdgeKey<'a>], ys: &'a [EdgeKey<'a>]) -> impl Iterator<Item = String> + 'a {
+    xs.iter()
+        .filter(|e| !ys.contains(e))
+        .map(|(from, to, instr)| format!("{from} --[{instr}]--> {to}"))
 }
 
 fn compare_fn(entry: u64, a: &FnLift, b: &FnLift, rep: &mut CorrespondReport) {
@@ -72,9 +86,8 @@ fn compare_fn(entry: u64, a: &FnLift, b: &FnLift, rep: &mut CorrespondReport) {
     let ea = edge_keys(&a.graph);
     let eb = edge_keys(&b.graph);
     if ea != eb {
-        let sa: BTreeSet<_> = ea.iter().collect();
-        let sb: BTreeSet<_> = eb.iter().collect();
-        for e in sa.symmetric_difference(&sb) {
+        let texts: BTreeSet<String> = unmatched(&ea, &eb).chain(unmatched(&eb, &ea)).collect();
+        for e in texts {
             rep.push(format!("{entry:#x}: edge mismatch: {e}"));
         }
     }
@@ -125,6 +138,61 @@ mod tests {
         let rep = graphs_correspond(&a.result, &b);
         assert!(!rep.ok());
         assert!(rep.details[0].contains("only in original"), "{:?}", rep.details);
+    }
+
+    /// The first function of a lift with an edge into a vertex other
+    /// than `exit`, and that edge's index.
+    fn function_with_inner_edge(r: &LiftResult) -> (u64, usize) {
+        r.functions
+            .iter()
+            .find_map(|(&entry, f)| {
+                let k = f.graph.edges.iter().position(|e| e.to != VertexId::Exit)?;
+                Some((entry, k))
+            })
+            .expect("an edge between two instruction vertices")
+    }
+
+    fn edge_text(g: &HoareGraph, e: &hgl_core::graph::Edge) -> String {
+        format!("{} --[{}]--> {}", e.from, g.edge_instr(e), e.to)
+    }
+
+    #[test]
+    fn dropped_edge_is_reported() {
+        let bin = gen_study_binary(0xc0de, false);
+        let a = Lifter::new(&bin).lift_all().result;
+        let (entry, k) = function_with_inner_edge(&a);
+        let mut b = a.clone();
+        let g = &mut b.functions.get_mut(&entry).expect("function").graph;
+        let dropped = g.edges.remove(k);
+        let rep = graphs_correspond(&a, &b);
+        let g = &a.functions[&entry].graph;
+        assert_eq!(rep.mismatches, 1, "{:?}", rep.details);
+        assert_eq!(
+            rep.details,
+            vec![format!("{entry:#x}: edge mismatch: {}", edge_text(g, &dropped))]
+        );
+    }
+
+    #[test]
+    fn redirected_edge_is_reported() {
+        let bin = gen_study_binary(0xc0de, false);
+        let a = Lifter::new(&bin).lift_all().result;
+        let (entry, k) = function_with_inner_edge(&a);
+        let mut b = a.clone();
+        let g = &mut b.functions.get_mut(&entry).expect("function").graph;
+        let old = g.edges[k];
+        assert!(!g.edges.contains(&hgl_core::graph::Edge { from: old.from, to: VertexId::Exit }));
+        g.edges[k].to = VertexId::Exit;
+        let new = g.edges[k];
+        let rep = graphs_correspond(&a, &b);
+        let g = &a.functions[&entry].graph;
+        let mut want = vec![
+            format!("{entry:#x}: edge mismatch: {}", edge_text(g, &old)),
+            format!("{entry:#x}: edge mismatch: {}", edge_text(g, &new)),
+        ];
+        want.sort();
+        assert_eq!(rep.mismatches, 2, "{:?}", rep.details);
+        assert_eq!(rep.details, want);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!    plants a shadow-stack guard at every `ret` of every function
 //!    whose return-address integrity the `crates/analysis` lints could
 //!    not prove (assumption-backed separations, unbounded stack
-//!    depth), via address-preserving detour patching: a 5-byte
+//!    depth). It runs those two lints itself, on lifted functions
+//!    only; no rewrite runs the full `hgl_analysis::analyze`. The
+//!    guards go in via address-preserving detour patching: a 5-byte
 //!    `jmp rel32` at the function entry and before each `ret` detours
 //!    through out-of-line stubs that maintain a shadow return-address
 //!    ring and `hlt` on mismatch.
@@ -178,8 +180,8 @@ impl RewriteOutput {
 }
 
 /// Rewrite `binary`: identity-recompile (always), then apply `passes`
-/// in order. The static-analysis lints the passes consult run only
-/// when `passes` is non-empty.
+/// in order. No analysis runs here: each pass computes the findings
+/// it reads (the shadow-stack pass runs its two lints).
 ///
 /// # Errors
 ///
@@ -210,15 +212,9 @@ pub fn rewrite(
         shadow: None,
         guards: Vec::new(),
     };
-    // Lints decide where instrumentation is required. They run only
-    // when a pass runs, once, and the passes share the report; the
-    // identity rewrite never reads it.
-    if !passes.is_empty() {
-        let report = hgl_analysis::analyze(binary, lift);
-        let ctx = PassContext { binary, lift, report: &report };
-        for p in passes {
-            p.apply(&ctx, &mut out)?;
-        }
+    let ctx = PassContext { binary, lift };
+    for p in passes {
+        p.apply(&ctx, &mut out)?;
     }
     let original_len: u64 = binary.segments.iter().map(|s| s.bytes.len() as u64).sum();
     let rewritten_len: u64 = out.binary.segments.iter().map(|s| s.bytes.len() as u64).sum();

@@ -1,20 +1,17 @@
 //! The instrumentation-pass interface.
 
 use crate::{RewriteError, RewriteOutput};
-use hgl_analysis::AnalysisReport;
 use hgl_core::lift::LiftResult;
 use hgl_elf::Binary;
 
-/// Everything a pass may consult: the original binary, its lift, and
-/// the static-analysis report whose diagnostics decide where
-/// instrumentation is required.
+/// Everything a pass may consult: the original binary and its lift. A
+/// pass that needs static-analysis findings runs the lints it reads
+/// itself, so no rewrite pays for an analysis no pass consults.
 pub struct PassContext<'a> {
     /// The original (pre-rewrite) binary.
     pub binary: &'a Binary,
     /// Its lift result.
     pub lift: &'a LiftResult,
-    /// Lints over the lift.
-    pub report: &'a AnalysisReport,
 }
 
 /// A rewrite transformation. Passes run after identity recompilation

@@ -6,9 +6,12 @@
 //! not prove safe: a `ret-slot-overwrite` diagnostic (an error, or the
 //! assumption-backed warning for pointers laundered through mutable
 //! memory) or a `stack-depth` warning on the function marks all of its
-//! returns as unproven. Functions with clean lint reports keep their
-//! bytes untouched — the lifter already proved their return-address
-//! integrity, so a dynamic guard would be redundant.
+//! returns as unproven. The pass runs exactly these two lints
+//! ([`lint_ret_slot`] and [`lint_stack_depth`]) itself, and only on
+//! lifted functions; both emit nothing but warnings and errors, so any
+//! finding marks the function. Functions with clean lint reports keep
+//! their bytes untouched — the lifter already proved their
+//! return-address integrity, so a dynamic guard would be redundant.
 //!
 //! # Mechanism: address-preserving detour patching
 //!
@@ -48,7 +51,7 @@
 
 use crate::pass::{PassContext, RewritePass};
 use crate::{GuardSite, RewriteError, RewriteOutput, ShadowLayout};
-use hgl_analysis::{Rule, Severity};
+use hgl_analysis::lints::{layout, lint_ret_slot, lint_stack_depth};
 use hgl_asm::Asm;
 use hgl_core::graph::VertexId;
 use hgl_core::lift::FnLift;
@@ -279,20 +282,17 @@ impl RewritePass for ShadowStackPass {
 
     fn apply(&self, ctx: &PassContext<'_>, out: &mut RewriteOutput) -> Result<(), RewriteError> {
         // 1. Which functions need guards: lifted functions with a
-        //    ret-slot or stack-depth diagnostic of any severity.
-        let mut unproven: BTreeSet<u64> = BTreeSet::new();
-        for d in &ctx.report.diags {
-            if matches!(d.rule, Rule::RetSlotOverwrite | Rule::StackDepth)
-                && matches!(d.severity, Severity::Warning | Severity::Error)
-            {
-                unproven.insert(d.function);
-            }
-        }
+        //    ret-slot or stack-depth diagnostic, of either severity.
+        let layout = layout(ctx.binary);
         let targets: Vec<&FnLift> = ctx
             .lift
             .functions
             .values()
-            .filter(|f| f.is_lifted() && unproven.contains(&f.entry))
+            .filter(|f| {
+                f.is_lifted()
+                    && (!lint_ret_slot(f.entry, &f.graph, &layout).is_empty()
+                        || !lint_stack_depth(f.entry, &f.graph).diags.is_empty())
+            })
             .collect();
         if targets.is_empty() {
             return Ok(());

@@ -152,7 +152,7 @@ fn dead_node_lint_flags_orphan_vertex() {
     g.add_vertex(VertexId::Exit, SymState::function_entry(entry));
     g.add_edge(VertexId::At(entry, 0), VertexId::Exit);
 
-    let out = lint_reachability(entry, &g, 10_000);
+    let out = lint_reachability(entry, &g);
     let dead: Vec<_> = out.diags.iter().filter(|d| d.rule == Rule::DeadNode).collect();
     assert_eq!(dead.len(), 1, "exactly the orphan is dead: {:?}", out.diags);
     assert_eq!(dead[0].node, Some(orphan));
