@@ -125,7 +125,7 @@ fn jump_table_at_the_cap_resolves() {
         let f = &lifted.functions[&bin.entry];
         assert_eq!(f.resolved_indirections, 1, "{shape:?}: the jump table is resolved");
         assert!(f.annotations.is_empty(), "{shape:?}: unresolved: {:?}", f.annotations);
-        assert!(f.returns, "{shape:?}");
+        assert!(f.graph.returns(), "{shape:?}");
         (bin, lifted)
     };
     resolved(Shape::LoadThenJmp);
@@ -184,17 +184,17 @@ fn masked_table_resolves_exactly() {
     let (a0, b0, _) = before.indirection_counts();
     assert_eq!(a0, 0);
     assert!(b0 >= 1, "masked jump must be unresolved inline");
-    assert!(!before.functions[&bin.entry].returns);
+    assert!(!before.functions[&bin.entry].graph.returns());
 
     // Refine: one VSA round bounds rax to [0, 3], reads the 4 table
     // slots, and the re-lift consumes the claim.
-    let refined = lifter.lift_entry_refined(bin.entry, &VsaResolver, 4);
+    let (after, refined) = lifter.lift_entry_refined(bin.entry, &VsaResolver, 4);
     assert!(refined.converged, "fixpoint must converge");
     assert!(refined.rounds >= 1 && refined.rounds <= 4);
-    let (a1, b1, _) = refined.result.indirection_counts();
+    let (a1, b1, _) = after.indirection_counts();
     assert_eq!(b1, 0, "column B moved to column A");
     assert!(a1 >= 1);
-    assert!(refined.result.functions[&bin.entry].returns, "cases now reach ret");
+    assert!(after.functions[&bin.entry].graph.returns(), "cases now reach ret");
 
     // The claim is exact: one jump address, targets = the case labels.
     assert_eq!(refined.hints.len(), 1);
@@ -238,9 +238,9 @@ fn generated_masked_tables_refine_to_zero_unresolved() {
         assert!(before.is_lifted(), "seed {seed}: reject: {:?}", before.reject_reason());
         let (_, b0, _) = before.indirection_counts();
 
-        let refined = lifter.lift_entry_refined(bin.entry, &VsaResolver, 8);
+        let (after, refined) = lifter.lift_entry_refined(bin.entry, &VsaResolver, 8);
         assert!(refined.converged, "seed {seed}: fixpoint must converge");
-        let (a1, b1, _) = refined.result.indirection_counts();
+        let (a1, b1, _) = after.indirection_counts();
         assert_eq!(b1, 0, "seed {seed}: every masked table resolved");
         if spec.masked_tables > 0 {
             assert!(b0 >= 1, "seed {seed}: tables must start unresolved");
@@ -264,14 +264,14 @@ fn refinement_is_reproducible_from_final_config() {
     // what makes the refinement cache- and fingerprint-sound).
     let bin = masked_table_binary(8);
     let mut lifter = Lifter::new(&bin);
-    let refined = lifter.lift_entry_refined(bin.entry, &VsaResolver, 4);
+    let (after, refined) = lifter.lift_entry_refined(bin.entry, &VsaResolver, 4);
     assert!(refined.converged);
     let replay = lifter.lift_entry(bin.entry);
     let (ra, rb, _) = replay.indirection_counts();
-    let (fa, fb, _) = refined.result.indirection_counts();
+    let (fa, fb, _) = after.indirection_counts();
     assert_eq!((ra, rb), (fa, fb));
     assert_eq!(
         replay.functions[&bin.entry].graph.vertices.len(),
-        refined.result.functions[&bin.entry].graph.vertices.len()
+        after.functions[&bin.entry].graph.vertices.len()
     );
 }

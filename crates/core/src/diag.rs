@@ -194,16 +194,15 @@ pub struct Diagnostics {
     pub obligations: Vec<ProofObligation>,
     /// Memory-space assumptions used by the solver.
     pub assumptions: Vec<Assumption>,
-    /// Fatal verification errors (function rejected if non-empty).
-    pub verification_errors: Vec<VerificationError>,
     /// Count of successfully bounded indirections (column A of
     /// Table 1).
     pub resolved_indirections: usize,
     /// `(addr, size)` of every image byte range the lift *read* while
     /// stepping: read-only constant loads and enumerated jump-table
-    /// entries. Together with the decoded instruction extent this is
-    /// the exact byte footprint a persisted artifact depends on — the
-    /// content hash of the artifact store covers both.
+    /// entries. Together with the Hoare Graph's decoded instructions
+    /// (and the window of a failed decode) this is the exact byte
+    /// footprint a persisted artifact depends on — the content hash of
+    /// the artifact store covers all of it.
     pub image_reads: BTreeSet<(u64, u8)>,
 }
 

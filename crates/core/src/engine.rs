@@ -256,8 +256,8 @@ impl<'b> Lifter<'b> {
         if let Some(store) = self.store {
             // Persist fresh artifacts — but only from a run whose
             // verdicts are intrinsic: a global budget trip leaves
-            // `returns`/frontier state premature, so nothing from such
-            // a run may enter the store.
+            // return verdicts and frontier state premature, so nothing
+            // from such a run may enter the store.
             if result.binary_reject.is_none() {
                 for f in result.functions.values() {
                     if !cached_keys.contains(&f.entry) && f.is_storable() {
@@ -306,7 +306,7 @@ impl<'b> Lifter<'b> {
                 .filter(|a| {
                     fetched[a].callee_deps.iter().any(|(c, consumed)| {
                         !confirmed.contains(c)
-                            || fetched.get(c).map(|f| f.returns) != Some(*consumed)
+                            || fetched.get(c).map(|f| f.graph.returns()) != Some(*consumed)
                     })
                 })
                 .collect();
@@ -376,7 +376,7 @@ impl<'b> Lifter<'b> {
             .map(|&a| (a, FnExploration::new(a)))
             .collect();
         let mut returns_propagated: Vec<u64> =
-            cached.values().filter(|f| f.returns).map(|f| f.entry).collect();
+            cached.values().filter(|f| f.graph.returns()).map(|f| f.entry).collect();
 
         loop {
             if let Some(ex) = meter.check_global() {
@@ -433,7 +433,7 @@ impl<'b> Lifter<'b> {
             // 3. Propagate newly proven returns.
             let newly: Vec<u64> = slots
                 .iter()
-                .filter(|(a, s)| s.returns && !returns_propagated.contains(a))
+                .filter(|(a, s)| s.graph.returns() && !returns_propagated.contains(a))
                 .map(|(a, _)| *a)
                 .collect();
             if newly.is_empty() {
@@ -505,7 +505,8 @@ impl<'b> Lifter<'b> {
     /// configuration are only committed when a re-lift actually runs,
     /// so [`RefinedLift::hints`](crate::refine::RefinedLift::hints) is
     /// always the set the returned result was lifted under — even on a
-    /// round-bound trip.
+    /// round-bound trip. Returns the final lift and the refinement
+    /// outcome.
     ///
     /// Each round is an ordinary [`Lifter::lift_entry`]: it shares
     /// this session's deadline, budget and solver cache, and because
@@ -519,15 +520,14 @@ impl<'b> Lifter<'b> {
         entry: u64,
         resolver: &dyn crate::refine::IndirectResolver,
         max_rounds: usize,
-    ) -> crate::refine::RefinedLift {
-        self.refine_fixpoint(resolver, max_rounds, |l| l.lift_entry(entry), |r| r).1
+    ) -> (LiftResult, crate::refine::RefinedLift) {
+        self.refine_fixpoint(resolver, max_rounds, |l| l.lift_entry(entry), |r| r)
     }
 
     /// [`Lifter::lift_all`] under the same refinement fixpoint as
     /// [`Lifter::lift_entry_refined`]: resolve over *all* lifted
     /// functions, update hints, re-lift the binary. Returns the final
-    /// report plus the refinement outcome (whose `result` field is a
-    /// clone of the report's).
+    /// report plus the refinement outcome.
     pub fn lift_all_refined(
         &mut self,
         resolver: &dyn crate::refine::IndirectResolver,
@@ -540,8 +540,7 @@ impl<'b> Lifter<'b> {
     /// and [`Lifter::lift_all_refined`], repeating `lift` (whose
     /// [`LiftResult`] `result_of` exposes) until [`Lifter::refine_step`]
     /// finds nothing to change or `max_rounds` lifts have run. Returns
-    /// the last lift and the fixpoint outcome, whose `result` is a
-    /// clone of the last lift's.
+    /// the last lift and the fixpoint outcome.
     fn refine_fixpoint<T>(
         &mut self,
         resolver: &dyn crate::refine::IndirectResolver,
@@ -575,13 +574,7 @@ impl<'b> Lifter<'b> {
                 }
             }
         }
-        let refined = crate::refine::RefinedLift {
-            result: result_of(&last).clone(),
-            rounds,
-            converged,
-            hints,
-            demoted: poisoned,
-        };
+        let refined = crate::refine::RefinedLift { rounds, converged, hints, demoted: poisoned };
         (last, refined)
     }
 

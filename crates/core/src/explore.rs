@@ -47,11 +47,11 @@ pub struct ExploreCx<'a> {
 /// of two per phase. The chain opens with one `Instant::now()`; each
 /// `lap` charges the time since the previous boundary to `phase` and
 /// becomes the next boundary. The few instructions of bookkeeping
-/// between phases (window fetch, extent insert, step-context setup)
-/// are charged to the following phase — negligible against halving
-/// the clock calls on the hot path. The decode lap runs only when an
-/// address is decoded; a visit whose instruction the graph already
-/// holds skips it, so its lookup is charged to τ.
+/// between phases (window fetch, instruction record, step-context
+/// setup) are charged to the following phase — negligible against
+/// halving the clock calls on the hot path. The decode lap runs only
+/// when an address is decoded; a visit whose instruction the graph
+/// already holds skips it, so its lookup is charged to τ.
 fn lap(metrics: &Metrics, phase: Phase, prev: std::time::Instant) -> std::time::Instant {
     let now = std::time::Instant::now();
     metrics.record(phase, now.duration_since(prev));
@@ -101,8 +101,6 @@ pub struct FnExploration {
     pub bag: Vec<BagItem>,
     /// Pending internal calls awaiting callee-return proof.
     pub pending: Vec<PendingReturn>,
-    /// True once some path provably returns.
-    pub returns: bool,
     /// Set when the function is rejected.
     pub rejected: Option<VerificationError>,
     /// Set when a resource budget stopped exploration; the graph built
@@ -112,13 +110,6 @@ pub struct FnExploration {
     /// the panic, drops the bag and rejects the function as
     /// [`RejectReason::Internal`](crate::lift::RejectReason::Internal).
     pub internal_error: Option<String>,
-    /// `(addr, len)` of every byte range fetched for decoding —
-    /// successful decodes record the instruction length, the failing
-    /// fetch records the whole window. Together with
-    /// [`Diagnostics::image_reads`](crate::diag::Diagnostics) this is
-    /// the exact image footprint the lift depends on; the artifact
-    /// store content-hashes it for invalidation.
-    pub extent: BTreeSet<(u64, u8)>,
     /// Internal callees this function's lift depends on, with `true`
     /// once the callee's return proof was consumed (its return sites
     /// were activated). Unlike [`FnExploration::pending`], entries stay
@@ -171,11 +162,9 @@ impl FnExploration {
             diags: Diagnostics::default(),
             bag: vec![BagItem { addr: entry, state: SymState::function_entry(entry), from: None }],
             pending: Vec::new(),
-            returns: false,
             rejected: None,
             exhausted: None,
             internal_error: None,
-            extent: BTreeSet::new(),
             callee_deps: BTreeMap::new(),
             join_counts: BTreeMap::new(),
             variants: BTreeMap::new(),
@@ -402,14 +391,12 @@ impl FnExploration {
             t = lap(cx.metrics, Phase::Decode, t);
             match decoded {
                 Ok(i) => {
-                    self.extent.insert((addr, i.len));
                     self.graph.record_instr(i);
                 }
                 Err(e) => {
                     // A rejection caused by these bytes is still a
-                    // cacheable outcome — record the window so the
-                    // artifact store can detect when the bytes change.
-                    self.extent.insert((addr, window.len().min(u8::MAX as usize) as u8));
+                    // cacheable outcome: the artifact store hashes the
+                    // window at `addr` to detect when the bytes change.
                     cx.metrics.count_decode_reject(e.reject_key());
                     self.rejected =
                         Some(VerificationError::Undecodable { addr, message: e.to_string() });
@@ -458,7 +445,6 @@ impl FnExploration {
                     };
                     self.graph.add_vertex(VertexId::Exit, joined);
                     self.graph.add_edge(vid, VertexId::Exit);
-                    self.returns = true;
                 }
                 Successor::CallInternal { callee, return_site, after } => {
                     self.callee_deps.entry(callee).or_insert(false);
@@ -505,7 +491,7 @@ mod tests {
         let e = FnExploration::new(0x401000);
         assert_eq!(e.bag.len(), 1);
         assert_eq!(e.bag[0].addr, 0x401000);
-        assert!(!e.returns);
+        assert!(!e.graph.returns());
     }
 
     #[test]

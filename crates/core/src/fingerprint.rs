@@ -34,7 +34,7 @@ use crate::lift::LiftConfig;
 /// of a lift: graph, diagnostics, claims). Bump when the *meaning* of
 /// stored artifacts changes; `hgl-store` layers its own byte-format
 /// version on top.
-pub const ARTIFACT_SCHEMA_VERSION: u32 = 3;
+pub const ARTIFACT_SCHEMA_VERSION: u32 = 4;
 
 /// A canonical identity for one lifting configuration under one build
 /// of the lifter.

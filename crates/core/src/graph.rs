@@ -106,6 +106,12 @@ impl HoareGraph {
         self.vertices.len()
     }
 
+    /// Whether some path provably returns: exploration adds the
+    /// [`VertexId::Exit`] vertex exactly when a `ret` verifies.
+    pub fn returns(&self) -> bool {
+        self.vertices.contains_key(&VertexId::Exit)
+    }
+
     /// Outgoing edges of a vertex.
     pub fn successors(&self, id: VertexId) -> impl Iterator<Item = &Edge> {
         self.edges.iter().filter(move |e| e.from == id)
@@ -205,7 +211,9 @@ mod tests {
                 g.add_vertex(VertexId::At(addr, variant), SymState::function_entry(0x10));
             }
         }
+        assert!(!g.returns());
         g.add_vertex(VertexId::Exit, SymState::function_entry(0x10));
+        assert!(g.returns());
         for addr in [0, 0x10, 0x11, 0x12, 0x13, u64::MAX] {
             let scanned: Vec<VertexId> = g
                 .vertices

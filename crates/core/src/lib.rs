@@ -49,7 +49,7 @@
 //! let result = Lifter::new(&bin).with_config(LiftConfig::default()).lift_entry(bin.entry);
 //! let f = result.functions.values().next().expect("one function");
 //! assert!(f.verification_errors.is_empty());
-//! assert!(f.returns);
+//! assert!(f.graph.returns());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

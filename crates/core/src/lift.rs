@@ -165,21 +165,16 @@ pub struct FnLift {
     pub verification_errors: Vec<VerificationError>,
     /// Successfully bounded indirections (column A).
     pub resolved_indirections: usize,
-    /// `(addr, len)` of every instruction byte range fetched while
-    /// exploring this function (including the window of a failed
-    /// decode). Part of the artifact store's content-hash footprint.
-    pub extent: BTreeSet<(u64, u8)>,
     /// `(addr, size)` of every non-instruction image read the lift
-    /// performed (read-only constants, jump-table entries). The other
-    /// half of the content-hash footprint.
+    /// performed (read-only constants, jump-table entries). With the
+    /// graph's decoded instructions and the window of a failed decode,
+    /// the artifact store's content-hash footprint.
     pub image_reads: BTreeSet<(u64, u8)>,
     /// Internal callees this lift depends on; `true` once the callee's
     /// return proof was consumed. An incremental re-lift confirms a
     /// cached artifact only when every dependency is itself confirmed
-    /// with an unchanged return verdict.
+    /// with an unchanged return verdict ([`HoareGraph::returns`]).
     pub callee_deps: BTreeMap<u64, bool>,
-    /// Whether some path provably returns.
-    pub returns: bool,
     /// Rejection verdict, if any.
     pub reject: Option<RejectReason>,
 }
@@ -388,10 +383,8 @@ pub(crate) fn assemble(
                 assumptions: e.diags.assumptions,
                 verification_errors: e.rejected.iter().cloned().collect(),
                 resolved_indirections: e.diags.resolved_indirections,
-                extent: e.extent,
                 image_reads: e.diags.image_reads,
                 callee_deps: e.callee_deps,
-                returns: e.returns,
                 reject,
             },
         );

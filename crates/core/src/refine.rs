@@ -71,26 +71,25 @@ pub trait IndirectResolver {
     ) -> Resolution;
 }
 
-/// The outcome of a refinement fixpoint.
+/// The outcome of a refinement fixpoint; the final lift itself is
+/// returned beside it.
 #[derive(Debug, Clone)]
 pub struct RefinedLift {
-    /// The final lift (under the final hint set).
-    pub result: LiftResult,
     /// Lift rounds performed (1 = nothing to refine).
     pub rounds: usize,
     /// True when the loop reached a fixpoint (a resolve pass neither
     /// proposed a new target nor demoted a hint) within the round
     /// bound.
     pub converged: bool,
-    /// The hint set `result` was lifted under — on the converged path
+    /// The hint set the final lift ran under — on the converged path
     /// this is also the fixpoint set; on a round-bound trip it is the
     /// last *committed* set (a final proposal that never got its
     /// re-lift is discarded, so a plain `lift_entry` under the
-    /// lifter's config always reproduces `result`).
+    /// lifter's config always reproduces the final lift).
     pub hints: BTreeMap<u64, BTreeSet<u64>>,
     /// Jumps whose hint was withdrawn during refinement because a
     /// later round's graph no longer supported the claimed bound.
-    /// They are reported unresolved in `result`.
+    /// The final lift reports them unresolved.
     pub demoted: BTreeSet<u64>,
 }
 

@@ -13,9 +13,10 @@
 //!
 //! - [`ArtifactStore::lookup`] must return an artifact only if it is
 //!   *valid for the current binary*: the bytes at the artifact's
-//!   recorded extent (instructions + image reads) hash to the recorded
-//!   content hash, and the requesting fingerprint matches the one the
-//!   artifact was stored under. Corrupted, truncated or version-skewed
+//!   footprint (its graph's decoded instructions, a failed decode's
+//!   window, its image reads) hash to the recorded content hash, and
+//!   the requesting fingerprint matches the one the artifact was
+//!   stored under. Corrupted, truncated or version-skewed
 //!   entries must surface as `None` (a miss/invalidation), never as a
 //!   wrong artifact — degrading to recompute is always sound.
 //! - Implementations must never panic on malformed store contents;

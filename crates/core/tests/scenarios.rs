@@ -38,7 +38,7 @@ fn simple_frame_function_lifts() {
     let result = Lifter::new(&bin).lift_entry(bin.entry);
     assert!(result.is_lifted(), "reject: {:?}", result.reject_reason());
     let f = &result.functions[&bin.entry];
-    assert!(f.returns, "function provably returns");
+    assert!(f.graph.returns(), "function provably returns");
     assert_eq!(f.graph.instruction_count(), 7);
     assert!(f.annotations.is_empty());
     // The loaded value is known: rax == 7 at the exit vertex.
@@ -64,7 +64,7 @@ fn internal_call_chain() {
     assert!(result.is_lifted(), "reject: {:?}", result.reject_reason());
     assert_eq!(result.functions.len(), 2, "both functions explored");
     for f in result.functions.values() {
-        assert!(f.returns);
+        assert!(f.graph.returns());
     }
     // The helper's entry is one of the explored functions.
     let helper_entry = *result.functions.keys().max().expect("two functions");
@@ -85,7 +85,7 @@ fn call_to_exit_never_returns() {
     let result = Lifter::new(&bin).lift_entry(bin.entry);
     assert!(result.is_lifted());
     let f = &result.functions[&bin.entry];
-    assert!(!f.returns, "exit never returns");
+    assert!(!f.graph.returns(), "exit never returns");
     // The trailing ret is never reached.
     assert_eq!(f.graph.instruction_count(), 2);
 }
@@ -115,7 +115,7 @@ fn external_call_generates_obligation() {
     let result = Lifter::new(&bin).lift_entry(bin.entry);
     assert!(result.is_lifted(), "reject: {:?}", result.reject_reason());
     let f = &result.functions[&bin.entry];
-    assert!(f.returns, "frame preserved by assumption; ret verifies");
+    assert!(f.graph.returns(), "frame preserved by assumption; ret verifies");
     // The §5.3 ret2win-style obligation.
     let ob = f.obligations.iter().find(|o| o.callee == "memset").expect("memset obligation");
     assert!(
@@ -194,7 +194,7 @@ fn bounded_stack_write_lifts() {
 
     let result = Lifter::new(&bin).lift_entry(bin.entry);
     assert!(result.is_lifted(), "reject: {:?}", result.reject_reason());
-    assert!(result.functions[&bin.entry].returns);
+    assert!(result.functions[&bin.entry].graph.returns());
 }
 
 /// A bounded jump table resolves to all entries (column A of Table 1).
@@ -239,7 +239,7 @@ fn jump_table_resolved() {
     let result = Lifter::new(&bin).lift_entry(bin.entry);
     assert!(result.is_lifted(), "reject: {:?}", result.reject_reason());
     let f = &result.functions[&bin.entry];
-    assert!(f.returns);
+    assert!(f.graph.returns());
     assert_eq!(f.resolved_indirections, 1, "the jump table is resolved");
     assert!(f.annotations.is_empty(), "no unresolved indirections: {:?}", f.annotations);
     // All four cases (table entries + default) are in the graph.
@@ -312,7 +312,7 @@ fn weird_edge_found() {
     let result = Lifter::new(&bin).lift_entry(bin.entry);
     assert!(result.is_lifted(), "reject: {:?}", result.reject_reason());
     let f = &result.functions[&bin.entry];
-    assert!(f.returns);
+    assert!(f.graph.returns());
     // The weird edge: a vertex at the mid-instruction ROP gadget.
     assert!(
         !f.graph.vertices_at(gadget).is_empty(),
@@ -352,7 +352,7 @@ fn callback_annotated_not_rejected() {
     let result = Lifter::new(&bin).lift_entry(bin.entry);
     assert!(result.is_lifted(), "reject: {:?}", result.reject_reason());
     let f = &result.functions[&bin.entry];
-    assert!(f.returns);
+    assert!(f.graph.returns());
     assert_eq!(f.annotations.len(), 1);
     assert!(matches!(f.annotations[0], Annotation::UnresolvedCall { .. }));
 }
@@ -442,7 +442,7 @@ fn push_pop_callee_saved_lifts() {
 
     let result = Lifter::new(&bin).lift_entry(bin.entry);
     assert!(result.is_lifted(), "reject: {:?}", result.reject_reason());
-    assert!(result.functions[&bin.entry].returns);
+    assert!(result.functions[&bin.entry].graph.returns());
 }
 
 /// Binaries touching pthreads are out of scope (Table 1 "concurrency"
@@ -477,7 +477,7 @@ fn lift_function_library_mode() {
 
     let result = Lifter::new(&bin).lift_entry(addr);
     assert!(result.is_lifted(), "reject: {:?}", result.reject_reason());
-    assert!(result.functions[&addr].returns);
+    assert!(result.functions[&addr].graph.returns());
     assert_eq!(result.functions[&addr].graph.instruction_count(), 4);
 }
 
@@ -500,7 +500,7 @@ fn loop_reaches_fixpoint() {
     let result = Lifter::new(&bin).with_config(config.clone()).lift_entry(bin.entry);
     assert!(result.is_lifted(), "reject: {:?}", result.reject_reason());
     let f = &result.functions[&bin.entry];
-    assert!(f.returns);
+    assert!(f.graph.returns());
     assert_eq!(f.graph.instruction_count(), 5);
     // States stay close to the instruction count (§2's observation).
     assert!(f.graph.state_count() <= 10, "state count: {}", f.graph.state_count());

@@ -579,7 +579,7 @@ mod tests {
                 "seed {seed}: rejected: {:?}",
                 result.reject_reason()
             );
-            assert!(result.functions[&bin.entry].returns, "seed {seed}: must return");
+            assert!(result.functions[&bin.entry].graph.returns(), "seed {seed}: must return");
         }
     }
 

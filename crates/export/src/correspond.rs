@@ -65,8 +65,9 @@ fn unmatched<'a>(xs: &'a [EdgeKey<'a>], ys: &'a [EdgeKey<'a>]) -> impl Iterator<
 }
 
 fn compare_fn(entry: u64, a: &FnLift, b: &FnLift, rep: &mut CorrespondReport) {
-    if a.returns != b.returns {
-        rep.push(format!("{entry:#x}: returns {} vs {}", a.returns, b.returns));
+    let (ra, rb) = (a.graph.returns(), b.graph.returns());
+    if ra != rb {
+        rep.push(format!("{entry:#x}: returns {ra} vs {rb}"));
     }
     let va: BTreeSet<_> = a.graph.vertices.keys().collect();
     let vb: BTreeSet<_> = b.graph.vertices.keys().collect();
@@ -200,10 +201,19 @@ mod tests {
         let bin = gen_study_binary(0xc0de, false);
         let a = Lifter::new(&bin).lift_all();
         let mut b = a.result.clone();
-        let f = b.functions.values_mut().next().expect("functions");
-        f.returns = !f.returns;
+        let (&entry, f) =
+            b.functions.iter_mut().find(|(_, f)| f.graph.returns()).expect("a returning function");
+        f.graph.vertices.remove(&VertexId::Exit);
         let rep = graphs_correspond(&a.result, &b);
-        assert_eq!(rep.mismatches, 1);
-        assert!(rep.details[0].contains("returns"), "{:?}", rep.details);
+        // The return verdict and the vertex both go; the edges into
+        // `exit` stay and still match.
+        assert_eq!(rep.mismatches, 2, "{:?}", rep.details);
+        assert_eq!(
+            rep.details,
+            vec![
+                format!("{entry:#x}: returns true vs false"),
+                format!("{entry:#x}: vertex exit only in original"),
+            ]
+        );
     }
 }

@@ -408,7 +408,7 @@ pub fn export_json(result: &LiftResult) -> String {
     for (fi, (entry, f)) in result.functions.iter().enumerate() {
         o.push_str("    {\n");
         let _ = writeln!(o, "      \"entry\": \"{entry:#x}\",");
-        let _ = writeln!(o, "      \"returns\": {},", f.returns);
+        let _ = writeln!(o, "      \"returns\": {},", f.graph.returns());
         // Vertices.
         o.push_str("      \"vertices\": [\n");
         for (vi, (id, v)) in f.graph.vertices.iter().enumerate() {

@@ -214,8 +214,9 @@ impl ProgramLift {
 pub fn lift_program(cfg: &CampaignConfig, bin: Binary) -> Result<ProgramLift, Vec<String>> {
     let mut lifter = Lifter::new(&bin);
     let (mut lifted, claims) = if cfg.refine_indirect {
-        let refined = lifter.lift_entry_refined(bin.entry, &hgl_analysis::VsaResolver, 8);
-        (refined.result, Some(refined.hints))
+        let (lifted, refined) =
+            lifter.lift_entry_refined(bin.entry, &hgl_analysis::VsaResolver, 8);
+        (lifted, Some(refined.hints))
     } else {
         (lifter.lift_entry(bin.entry), None)
     };

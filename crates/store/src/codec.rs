@@ -11,10 +11,16 @@
 //!   bit flips, but the decoder stands on its own.
 //! - **Instructions store only their address, edges `(from, to)`.**
 //!   Each listed instruction is re-decoded once from the binary on
-//!   load — sound because the store's content hash proves the bytes
-//!   unchanged — which keeps artifacts small and reuses the one
-//!   decoder as the single source of instruction semantics. An edge
-//!   whose source address has no listed instruction is malformed.
+//!   load, which keeps artifacts small and reuses the one decoder as
+//!   the single source of instruction semantics. An edge whose source
+//!   address has no listed instruction is malformed.
+//! - **No fact the graph already shows.** The footprint the store
+//!   content-hashes is the decoded graph's instructions (plus a failed
+//!   decode's window and the image reads), and the return verdict is
+//!   [`HoareGraph::returns`]; neither is stored beside the graph. So
+//!   the store must decode an artifact *before* it checks the content
+//!   hash — `Store::lookup` does, and discards the decoded artifact
+//!   when the hash of the current bytes differs.
 //! - **Round-tripping is identity** for every artifact the lifter can
 //!   produce, pinned by property tests in `tests/roundtrip.rs`.
 
@@ -759,13 +765,7 @@ fn get_verr(r: &mut Reader<'_>) -> R<VerificationError> {
 pub fn encode_fn_lift(f: &FnLift) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(f.entry);
-    w.bool(f.returns);
     w.u64(f.resolved_indirections as u64);
-    w.len(f.extent.len());
-    for (a, l) in &f.extent {
-        w.u64(*a);
-        w.u8(*l);
-    }
     w.len(f.image_reads.len());
     for (a, l) in &f.image_reads {
         w.u64(*a);
@@ -810,20 +810,15 @@ pub fn encode_fn_lift(f: &FnLift) -> Vec<u8> {
 }
 
 /// Decode a per-function artifact, decoding each listed instruction
-/// once from `binary` (sound: the store verified the content hash over
-/// the artifact's byte extent before calling this).
+/// once from `binary`. The result is trustworthy only once the caller
+/// has checked the content hash over its footprint, which this decode
+/// yields: `Store::lookup` decodes first and hashes after.
 pub fn decode_fn_lift(bytes: &[u8], binary: &Binary) -> R<FnLift> {
     let mut r = Reader::new(bytes);
     let entry = r.u64()?;
-    let returns = r.bool()?;
     let resolved = r.u64()?;
     let resolved_indirections =
         usize::try_from(resolved).map_err(|_| CodecError { at: 0, what: "indirection count" })?;
-    let mut extent = BTreeSet::new();
-    for _ in 0..r.len(9)? {
-        let a = r.u64()?;
-        extent.insert((a, r.u8()?));
-    }
     let mut image_reads = BTreeSet::new();
     for _ in 0..r.len(9)? {
         let a = r.u64()?;
@@ -894,10 +889,8 @@ pub fn decode_fn_lift(bytes: &[u8], binary: &Binary) -> R<FnLift> {
         assumptions,
         verification_errors,
         resolved_indirections,
-        extent,
         image_reads,
         callee_deps,
-        returns,
         reject,
     })
 }

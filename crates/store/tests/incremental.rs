@@ -5,7 +5,7 @@
 //! *how much* of it.
 
 use hgl_asm::Asm;
-use hgl_core::lift::LiftConfig;
+use hgl_core::lift::{LiftConfig, RejectReason};
 use hgl_core::Lifter;
 use hgl_corpus::xen::gen_study_binary;
 use hgl_elf::Binary;
@@ -154,7 +154,7 @@ fn callee_return_flip_demotes_cached_caller() {
     let dir2 = tmpdir("flip2");
     let s1 = Store::open(&dir1).expect("open store 1");
     let r1 = Lifter::new(&v1).with_store(&s1).lift_all();
-    assert!(r1.result.functions[&main].returns, "v1 main returns");
+    assert!(r1.result.functions[&main].graph.returns(), "v1 main returns");
     let helper = *r1
         .result
         .functions
@@ -163,7 +163,7 @@ fn callee_return_flip_demotes_cached_caller() {
         .expect("helper discovered transitively");
     let s2 = Store::open(&dir2).expect("open store 2");
     let r2 = Lifter::new(&v2).with_store(&s2).lift_all();
-    assert!(!r2.result.functions[&main].returns, "v2 main cannot return");
+    assert!(!r2.result.functions[&main].graph.returns(), "v2 main cannot return");
 
     // Same segment layout and config ⇒ same object key in both stores.
     let fp = hgl_core::Fingerprint::of(&LiftConfig::default());
@@ -183,10 +183,53 @@ fn callee_return_flip_demotes_cached_caller() {
     assert!(stats.hits >= 2, "{stats:?}");
     // ...but main must have been demoted and re-lifted, or this run
     // would wrongly claim main returns.
-    assert!(!warm.result.functions[&main].returns, "stale caller artifact replayed!");
+    assert!(!warm.result.functions[&main].graph.returns(), "stale caller artifact replayed!");
     assert_eq!(export_json(&warm.result), export_json(&r2.result));
     let _ = std::fs::remove_dir_all(&dir1);
     let _ = std::fs::remove_dir_all(&dir2);
+}
+
+/// `.text` = `0f ff <last>` at `0x401000`: `0f ff` does not decode,
+/// so the entry is a `DecodeError` reject whose footprint is the whole
+/// fetch window, `<last>` included, though no instruction covers it.
+fn decode_reject_program(last: u8) -> Binary {
+    use hgl_elf::{Builder, SegmentFlags};
+    let elf = Builder::new()
+        .entry(0x401000)
+        .section(".text", 0x401000, vec![0x0f, 0xff, last], SegmentFlags::RX)
+        .build();
+    Binary::parse(&elf).expect("parses")
+}
+
+#[test]
+fn decode_reject_footprint_covers_the_fetch_window() {
+    let dir = tmpdir("decode-reject");
+    let v1 = decode_reject_program(0xc3);
+    let s1 = Store::open(&dir).expect("open store");
+    let cold = Lifter::new(&v1).with_store(&s1).lift_all();
+    let stats = cold.metrics.store.expect("store attached");
+    assert_eq!(stats.inserts, 1, "the one decode reject is stored: {stats:?}");
+    assert!(
+        matches!(cold.result.functions[&v1.entry].reject, Some(RejectReason::DecodeError { .. })),
+        "{:?}",
+        cold.result.functions[&v1.entry].reject
+    );
+
+    let s2 = Store::open(&dir).expect("reopen store");
+    let warm = Lifter::new(&v1).with_store(&s2).lift_all();
+    let stats = warm.metrics.store.expect("store attached");
+    assert_eq!((stats.hits, stats.invalidations), (1, 0), "unchanged rerun: {stats:?}");
+    assert_eq!(export_json(&warm.result), export_json(&cold.result));
+
+    // Only the `c3` changes: it lies in the failed decode's window past
+    // its first byte, so the stored reject no longer holds.
+    let v2 = decode_reject_program(0x90);
+    let s3 = Store::open(&dir).expect("reopen store");
+    let edited = Lifter::new(&v2).with_store(&s3).lift_all();
+    let stats = edited.metrics.store.expect("store attached");
+    assert_eq!(stats.invalidations, 1, "the window byte invalidates: {stats:?}");
+    assert_eq!(export_json(&edited.result), export_json(&Lifter::new(&v2).lift_all().result));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n=== Sanity properties ===");
-    println!("returns normally:       {}", f.returns);
+    println!("returns normally:       {}", f.graph.returns());
     println!("verification errors:    {}", f.verification_errors.len());
     println!("annotations:            {}", f.annotations.len());
     println!("assumptions used:       {}", f.assumptions.len());

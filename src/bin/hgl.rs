@@ -50,7 +50,7 @@
 #![forbid(unsafe_code)]
 use hgl_analysis::{analyze, Severity};
 use hgl_core::lift::{LiftConfig, LiftResult};
-use hgl_core::{Lifter, MetricsSnapshot};
+use hgl_core::{Lifter, MetricsSnapshot, RefinedLift};
 use hgl_elf::Binary;
 use hgl_export::{
     export_dot, export_json, export_lint_json, export_metrics_json, export_theory, validate_lift,
@@ -114,18 +114,7 @@ struct LiftInvocation {
     result: LiftResult,
     metrics: MetricsSnapshot,
     roots: Option<Vec<u64>>,
-    refined: Option<Refinement>,
-}
-
-/// The refinement outcome the CLI reports: fixpoint shape plus the
-/// final indirect-target claims.
-struct Refinement {
-    rounds: usize,
-    converged: bool,
-    hints: std::collections::BTreeMap<u64, std::collections::BTreeSet<u64>>,
-    /// Hinted jumps withdrawn mid-fixpoint (claim failed re-validation
-    /// on a later round's graph); reported unresolved in the result.
-    demoted: std::collections::BTreeSet<u64>,
+    refined: Option<RefinedLift>,
 }
 
 fn do_lift(binary: &Binary, args: &[String]) -> LiftInvocation {
@@ -161,12 +150,7 @@ fn do_lift(binary: &Binary, args: &[String]) -> LiftInvocation {
                 result: report.result,
                 metrics: report.metrics,
                 roots: Some(report.roots),
-                refined: Some(Refinement {
-                    rounds: refined.rounds,
-                    converged: refined.converged,
-                    hints: refined.hints,
-                    demoted: refined.demoted,
-                }),
+                refined: Some(refined),
             }
         } else {
             let report = lifter.lift_all();
@@ -180,19 +164,9 @@ fn do_lift(binary: &Binary, args: &[String]) -> LiftInvocation {
     } else {
         let entry = parsed_flag(args, "--function", parse_u64).unwrap_or(binary.entry);
         if refine {
-            let refined = lifter.lift_entry_refined(entry, &resolver, REFINE_ROUNDS);
+            let (result, refined) = lifter.lift_entry_refined(entry, &resolver, REFINE_ROUNDS);
             let metrics = lifter.metrics_snapshot();
-            LiftInvocation {
-                result: refined.result,
-                metrics,
-                roots: None,
-                refined: Some(Refinement {
-                    rounds: refined.rounds,
-                    converged: refined.converged,
-                    hints: refined.hints,
-                    demoted: refined.demoted,
-                }),
-            }
+            LiftInvocation { result, metrics, roots: None, refined: Some(refined) }
         } else {
             let result = lifter.lift_entry(entry);
             let metrics = lifter.metrics_snapshot();
@@ -459,7 +433,7 @@ fn main() -> ExitCode {
             }
             for (entry, f) in &result.functions {
                 println!("\nfunction {entry:#x}: {} states, {} edges, returns: {}",
-                    f.graph.state_count(), f.graph.edges.len(), f.returns);
+                    f.graph.state_count(), f.graph.edges.len(), f.graph.returns());
                 for ann in &f.annotations {
                     println!("  ANNOTATION {ann}");
                 }

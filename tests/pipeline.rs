@@ -50,7 +50,7 @@ fn full_pipeline_through_elf_bytes() {
     let result = Lifter::new(&binary).lift_entry(binary.entry);
     assert!(result.is_lifted(), "reject: {:?}", result.reject_reason());
     assert_eq!(result.functions.len(), 2, "main and helper");
-    assert!(result.functions.values().all(|f| f.returns));
+    assert!(result.functions.values().all(|f| f.graph.returns()));
 
     let thy = export_theory(&result, "pipeline_demo");
     assert!(thy.contains("theory pipeline_demo"));
@@ -142,5 +142,5 @@ fn stripped_lifting_still_works() {
     stripped.symbols.clear();
     let result = Lifter::new(&stripped).lift_entry(stripped.entry);
     assert!(result.is_lifted());
-    assert!(result.functions[&stripped.entry].returns);
+    assert!(result.functions[&stripped.entry].graph.returns());
 }

@@ -82,11 +82,11 @@ fn masked_table_binary(n: usize) -> hoare_lift::elf::Binary {
 fn correct_claims_are_confirmed_by_traces() {
     let bin = masked_table_binary(4);
     let mut lifter = Lifter::new(&bin);
-    let refined = lifter.lift_entry_refined(bin.entry, &VsaResolver, 4);
+    let (after, refined) = lifter.lift_entry_refined(bin.entry, &VsaResolver, 4);
     assert!(refined.converged);
     assert!(!refined.hints.is_empty());
 
-    let oracle = TraceOracle::new(&bin, &refined.result).with_indirect_claims(refined.hints.clone());
+    let oracle = TraceOracle::new(&bin, &after).with_indirect_claims(refined.hints.clone());
     let mut coverage = Coverage::default();
     for rdi in [0u64, 1, 2, 3, 7, 0x1234] {
         let es = EntryState { rdi, scratch: [0; 6] };
@@ -157,7 +157,7 @@ fn reentrant_dispatch_binary() -> (Binary, u64) {
 fn hinted_jump_bounds_are_revalidated_on_grown_graph() {
     let (bin, join) = reentrant_dispatch_binary();
     let mut lifter = Lifter::new(&bin);
-    let refined = lifter.lift_entry_refined(bin.entry, &VsaResolver, 8);
+    let (after, refined) = lifter.lift_entry_refined(bin.entry, &VsaResolver, 8);
     assert!(refined.converged, "fixpoint must converge");
     assert!(refined.demoted.is_empty(), "nothing should be demoted: {:?}", refined.demoted);
     assert_eq!(refined.hints.len(), 1);
@@ -167,13 +167,13 @@ fn hinted_jump_bounds_are_revalidated_on_grown_graph() {
         "re-validation must widen the claim to the re-entry target {join:#x}: {targets:x?}"
     );
     assert_eq!(targets.len(), 5, "4 cases + join: {targets:x?}");
-    let (_, b, _) = refined.result.indirection_counts();
+    let (_, b, _) = after.indirection_counts();
     assert_eq!(b, 0, "dispatch stays resolved");
 
     // rdi = 3 executes the dispatch twice, the second time with
     // rax = 5 — outside the round-1 bound. The final claim contains
     // it, so the trace-containment check passes.
-    let oracle = TraceOracle::new(&bin, &refined.result).with_indirect_claims(refined.hints.clone());
+    let oracle = TraceOracle::new(&bin, &after).with_indirect_claims(refined.hints.clone());
     let mut coverage = Coverage::default();
     let es = EntryState { rdi: 3, scratch: [0; 6] };
     let outcome = oracle.check_trace(&es, &mut coverage);
@@ -226,21 +226,21 @@ fn demoted_hints_are_withdrawn_and_not_readmitted() {
     let &target = targets.iter().next().expect("targets");
 
     let resolver = FlipFlopResolver { jump, target };
-    let refined = lifter.lift_entry_refined(bin.entry, &resolver, 8);
+    let (after, refined) = lifter.lift_entry_refined(bin.entry, &resolver, 8);
     // Round 1 proposes, round 2 demotes, round 3 sees the poisoned
     // re-proposal filtered out and converges.
     assert!(refined.converged, "poisoning must force convergence");
     assert_eq!(refined.rounds, 3);
     assert!(refined.hints.is_empty(), "withdrawn hint must not be reported: {:?}", refined.hints);
     assert_eq!(refined.demoted, [jump].into_iter().collect::<BTreeSet<u64>>());
-    let (_, b1, _) = refined.result.indirection_counts();
+    let (_, b1, _) = after.indirection_counts();
     assert!(b1 >= 1, "demoted jump must be reported unresolved again");
 
     // The config holds the (empty) final hint set: a plain re-lift
     // reproduces the returned result.
     let replay = lifter.lift_entry(bin.entry);
     let (ra, rb, _) = replay.indirection_counts();
-    let (fa, fb, _) = refined.result.indirection_counts();
+    let (fa, fb, _) = after.indirection_counts();
     assert_eq!((ra, rb), (fa, fb));
 }
 
@@ -251,7 +251,7 @@ fn demoted_hints_are_withdrawn_and_not_readmitted() {
 fn corrupted_claims_are_refuted() {
     let bin = masked_table_binary(4);
     let mut lifter = Lifter::new(&bin);
-    let refined = lifter.lift_entry_refined(bin.entry, &VsaResolver, 4);
+    let (after, refined) = lifter.lift_entry_refined(bin.entry, &VsaResolver, 4);
     assert!(refined.converged);
     let (&jmp_addr, targets) = refined.hints.iter().next().expect("one claim");
 
@@ -261,7 +261,7 @@ fn corrupted_claims_are_refuted() {
     assert!(!corrupted.is_empty());
     let claims = [(jmp_addr, corrupted)].into_iter().collect();
 
-    let oracle = TraceOracle::new(&bin, &refined.result).with_indirect_claims(claims);
+    let oracle = TraceOracle::new(&bin, &after).with_indirect_claims(claims);
     let mut coverage = Coverage::default();
     // The first case label is the lowest code address of the targets,
     // and rdi = 0 selects table slot 0, which points at it.
